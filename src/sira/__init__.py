@@ -43,12 +43,9 @@ from .strategy import (
     sira_bid_uniform,
 )
 from .mechanism import (
-    AgentOutcome,
     AuctionConfig,
     AuctionReport,
     PairingMode,
-    RoundOutcome,
-    TieRule,
     compare_pair,
     realize_utility,
     run_repeated_sira,
@@ -104,11 +101,8 @@ __all__ = [
     "reserve_threshold_bid",
     "decide",
     "PairingMode",
-    "TieRule",
     "AuctionConfig",
     "AuctionReport",
-    "AgentOutcome",
-    "RoundOutcome",
     "compare_pair",
     "realize_utility",
     "run_reserve_threshold",

@@ -68,7 +68,8 @@ _PAIRINGS = {
 
 
 def _to_int(value) -> int:
-    if isinstance(value, bool):
+    # Config-file numbers arrive as floats; only integral ones are integers.
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"expected an integer, got {value!r}")
     try:
         out = int(value)
@@ -249,8 +250,15 @@ class RunSpec:
         return {"subcommand": self.subcommand, **self.params}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigError instead of exiting the process."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sira",
         description="Simulators and numerics for reserve thresholding and SIRA.",
     )
@@ -730,6 +738,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
     try:
         path = execute(spec)
     except (ConfigError, DomainError) as exc:

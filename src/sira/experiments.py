@@ -16,9 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .mechanism import AuctionConfig, AuctionReport, run_reserve_threshold, run_sira
+from .mechanism import (
+    AuctionConfig,
+    AuctionReport,
+    _draw_population,
+    _reserve_from_population,
+    _sira_from_population,
+    beats,
+)
 from .seeding import STREAM_EXPERIMENT, child_seed, substream
-from .strategy import check_p_eps, sira_bid, sira_bid_generic
+from .strategy import (
+    cap_bid,
+    check_p_eps,
+    predicted_utilities,
+    realized_utilities,
+    sira_bid,
+    sira_bid_generic,
+    submitted_bid,
+)
 from .value_model import (
     PREMIUM_MAX,
     AgentValuation,
@@ -37,6 +52,9 @@ _EXP_EQ_CHECK = 3
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error; nan where the sample is too small."""
+    if values.size < 2:
+        return (float(values[0]) if values.size else float("nan")), float("nan")
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
 
 
@@ -52,8 +70,7 @@ def _equilibrium_pool(
     totals = sample_total_values(family, rng, size, lower=p_eps)
     lams = sample_scaling_factors(rng, size)
     premiums = lams * totals
-    bids = np.minimum(sira_bid(family, premiums, p_eps), 1.0)
-    return totals, lams, bids
+    return totals, lams, submitted_bid(family, premiums, p_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +124,8 @@ def deviation_sweep(
     if n_opponents < 2:
         raise DomainError(f"n_opponents must be at least 2, got {n_opponents}")
     grid = np.unique(np.append(np.asarray(deltas, dtype=float), 0.0))
-    if np.any(grid < -1.0) or np.any(grid > 1.0):
-        raise DomainError("deviation fractions must lie in [-1, 1]")
+    if not np.all((grid >= -1.0) & (grid <= 1.0)):
+        raise DomainError("deviation fractions must be finite and lie in [-1, 1]")
 
     pool_rng = substream(seed, STREAM_EXPERIMENT, _EXP_DEVIATION, 0)
     _, _, opp_bids = _equilibrium_pool(family, p_eps, n_opponents, pool_rng)
@@ -117,16 +134,11 @@ def deviation_sweep(
 
     v_p = probe.premium_value
     v_d = probe.deployment_value
-    base_bid = min(float(sira_bid(family, v_p, p_eps)), 1.0)
-
-    bids = np.minimum((1.0 + grid) * base_bid, 1.0)
+    bids = cap_bid((1.0 + grid) * submitted_bid(family, v_p, p_eps))
     utilities = np.empty((grid.size, n_opponents))
     for i, bid in enumerate(bids):
-        if bid < p_eps:
-            utilities[i] = -bid
-        else:
-            won = np.where(opp_bids == bid, coins, bid > opp_bids)
-            utilities[i] = v_d + v_p * won - bid
+        won = beats(bid, opp_bids, coins)
+        utilities[i] = realized_utilities(v_d, v_p, bid, bid >= p_eps, won)
 
     zero = int(np.flatnonzero(grid == 0.0)[0])
     diffs = utilities[zero][None, :] - utilities
@@ -185,13 +197,31 @@ class ThresholdSweepResult:
     mean_bid_uplift_se: np.ndarray
 
 
+def _mechanism_stats(report: AuctionReport) -> tuple[float, float, float, float]:
+    """Participation rate and mean participant bid, each with its standard error."""
+    mask = report.participates
+    return (*_mean_se(mask), *_mean_se(report.bid[mask]))
+
+
 def _sweep_point(
     family: ValueFamily, p_eps: float, n_agents: int, point_seed: int, gamma: float
-) -> tuple[AuctionReport, AuctionReport]:
+) -> tuple[float, ...]:
+    """One grid point's summary row, in ThresholdSweepResult field order.
+
+    The population is drawn once and fed to both engines.
+    """
     config = AuctionConfig(
         n_agents=n_agents, p_eps=p_eps, family=family, seed=point_seed, gamma=gamma
     )
-    return run_reserve_threshold(config), run_sira(config)
+    total, lam = _draw_population(config)
+    reserve = _reserve_from_population(config, total, lam)
+    sira = _sira_from_population(config, total, lam, rounds=1)
+    res_stats = _mechanism_stats(reserve)
+    sira_stats = _mechanism_stats(sira)
+    paired = sira.participates.astype(float) - reserve.participates.astype(float)
+    bid_uplift = sira_stats[2] - res_stats[2]
+    bid_uplift_se = float(np.hypot(sira_stats[3], res_stats[3]))
+    return (*res_stats, *sira_stats, *_mean_se(paired), bid_uplift, bid_uplift_se)
 
 
 def threshold_sweep(
@@ -218,71 +248,16 @@ def threshold_sweep(
 
     point_seeds = [child_seed(seed, STREAM_EXPERIMENT, _EXP_SWEEP, i) for i in range(grid.size)]
 
-    def evaluate(i: int) -> tuple[AuctionReport, AuctionReport]:
+    def evaluate(i: int) -> tuple[float, ...]:
         return _sweep_point(family, float(grid[i]), n_agents, point_seeds[i], gamma)
 
     if workers == 1:
-        pairs = [evaluate(i) for i in range(grid.size)]
+        rows = [evaluate(i) for i in range(grid.size)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(evaluate, range(grid.size)))
-
-    m = grid.size
-    res_part = np.empty(m)
-    res_part_se = np.empty(m)
-    res_bid = np.empty(m)
-    res_bid_se = np.empty(m)
-    sira_part = np.empty(m)
-    sira_part_se = np.empty(m)
-    sira_bid_mean = np.empty(m)
-    sira_bid_se = np.empty(m)
-    uplift = np.empty(m)
-    uplift_se = np.empty(m)
-    bid_uplift = np.empty(m)
-    bid_uplift_se = np.empty(m)
-    root_n = np.sqrt(n_agents)
-    for i, (reserve, sira) in enumerate(pairs):
-        r_mask = reserve.participates
-        s_mask = sira.participates
-        res_part[i] = reserve.participation_rate
-        res_part_se[i] = r_mask.std(ddof=1) / root_n
-        sira_part[i] = sira.participation_rate
-        sira_part_se[i] = s_mask.std(ddof=1) / root_n
-        res_bid[i] = reserve.mean_bid
-        res_bid_se[i] = (
-            reserve.bid[r_mask].std(ddof=1) / np.sqrt(r_mask.sum())
-            if r_mask.sum() >= 2
-            else float("nan")
-        )
-        sira_bid_mean[i] = sira.mean_bid
-        sira_bid_se[i] = (
-            sira.bid[s_mask].std(ddof=1) / np.sqrt(s_mask.sum())
-            if s_mask.sum() >= 2
-            else float("nan")
-        )
-        paired = s_mask.astype(float) - r_mask.astype(float)
-        uplift[i] = paired.mean()
-        uplift_se[i] = paired.std(ddof=1) / root_n
-        bid_uplift[i] = sira_bid_mean[i] - res_bid[i]
-        bid_uplift_se[i] = np.hypot(sira_bid_se[i], res_bid_se[i])
-    return ThresholdSweepResult(
-        family=family,
-        p_eps=grid,
-        n_agents=int(n_agents),
-        seed=int(seed),
-        reserve_participation=res_part,
-        reserve_participation_se=res_part_se,
-        reserve_mean_bid=res_bid,
-        reserve_mean_bid_se=res_bid_se,
-        sira_participation=sira_part,
-        sira_participation_se=sira_part_se,
-        sira_mean_bid=sira_bid_mean,
-        sira_mean_bid_se=sira_bid_se,
-        participation_uplift=uplift,
-        participation_uplift_se=uplift_se,
-        mean_bid_uplift=bid_uplift,
-        mean_bid_uplift_se=bid_uplift_se,
-    )
+            rows = list(pool.map(evaluate, range(grid.size)))
+    columns = (np.array(column) for column in zip(*rows))
+    return ThresholdSweepResult(family, grid, int(n_agents), int(seed), *columns)
 
 
 # ---------------------------------------------------------------------------
@@ -492,19 +467,13 @@ def equilibrium_crosscheck(
     lams = np.concatenate(lam_blocks)[:n_pairings]
     premiums = lams * totals
     deployments = totals - premiums
-    bids = np.minimum(sira_bid(family, premiums, p_eps), 1.0)
+    bids = submitted_bid(family, premiums, p_eps)
 
     tie_rng = substream(seed, STREAM_EXPERIMENT, _EXP_EQ_CHECK, 2)
     coins = tie_rng.random(n_pairings) < 0.5
-    won = np.where(bids == opp_bids, coins, bids > opp_bids)
-    realized = deployments + premiums * won - bids
-
-    cdf_vals = dist.cdf(premiums)
-    predicted = np.where(
-        bids >= 1.0,
-        deployments + premiums - 1.0,
-        deployments + premiums * cdf_vals - bids,
-    )
+    won = beats(bids, opp_bids, coins)
+    realized = realized_utilities(deployments, premiums, bids, True, won)
+    predicted = predicted_utilities(deployments, premiums, bids, dist.cdf(premiums))
     diff = realized - predicted
     gap, gap_se = _mean_se(diff)
     return EquilibriumCrosscheck(

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericalError
 from .seeding import (
     STREAM_OPPONENTS,
     STREAM_TIES,
@@ -34,16 +33,13 @@ from .seeding import (
     substream,
 )
 from .strategy import (
-    BidDecision,
+    DecisionArrays,
     check_p_eps,
+    realized_utilities,
+    reserve_decision_arrays,
     sira_decision_arrays,
 )
-from .value_model import (
-    AgentValuation,
-    SafetyCostModel,
-    ValueFamily,
-    sample_valuations,
-)
+from .value_model import SafetyCostModel, ValueFamily, sample_valuations
 
 RESERVE_THRESHOLD = "reserve-threshold"
 SIRA = "sira"
@@ -54,12 +50,6 @@ class PairingMode(Enum):
 
     INDEPENDENT_OPPONENT = "independent"
     PERFECT_MATCHING = "perfect"
-
-
-class TieRule(Enum):
-    """How equal bids are resolved."""
-
-    FAIR_COIN = "fair-coin"
 
 
 @dataclass(frozen=True)
@@ -73,7 +63,6 @@ class AuctionConfig:
     gamma: float = 1.0
     rounds: int = 1
     pairing: PairingMode = PairingMode.INDEPENDENT_OPPONENT
-    tie_rule: TieRule = TieRule.FAIR_COIN
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_agents, int) or self.n_agents < 2:
@@ -91,8 +80,6 @@ class AuctionConfig:
         check_seed(self.seed)
         if not isinstance(self.pairing, PairingMode):
             raise ConfigError(f"pairing must be a PairingMode, got {self.pairing!r}")
-        if not isinstance(self.tie_rule, TieRule):
-            raise ConfigError(f"tie_rule must be a TieRule, got {self.tie_rule!r}")
 
     @property
     def model(self) -> SafetyCostModel:
@@ -100,47 +87,37 @@ class AuctionConfig:
 
 
 # ---------------------------------------------------------------------------
-# Scalar comparison and realization rules
+# The contest rule and its scalar views
 
 
-def compare_pair(
-    bid_i: float,
-    bid_j: float,
-    rng: np.random.Generator,
-    tie_rule: TieRule = TieRule.FAIR_COIN,
-) -> bool:
-    """Return True when agent i beats agent j for the premium."""
+def beats(bid, other, coins):
+    """The contest rule: the higher bid wins the premium, a coin settles a tie.
+
+    Elementwise over broadcast arrays; coins[i] decides comparison i
+    only when its two bids are equal.
+    """
+    return np.where(bid == other, coins, bid > other)
+
+
+def compare_pair(bid_i: float, bid_j: float, rng: np.random.Generator) -> bool:
+    """Return True when agent i beats agent j for the premium.
+
+    Draws one coin from rng, and only when the bids tie.
+    """
     if bid_i < 0.0 or bid_j < 0.0:
         raise DomainError("bids must be non-negative")
-    if tie_rule is not TieRule.FAIR_COIN:
-        raise DomainError(f"unknown tie rule: {tie_rule!r}")
-    if bid_i == bid_j:
-        return bool(rng.random() < 0.5)
-    return bid_i > bid_j
+    return bool(beats(bid_i, bid_j, bid_i == bid_j and rng.random() < 0.5))
 
 
 def realize_utility(
     bid: float, accepted: bool, won_premium: bool, v_d: float, v_p: float
 ) -> float:
-    """Realized utility of an agent that submitted (and sank) a bid.
-
-    Not accepted: the bid is lost outright. Accepted without the
-    premium: deployment value net of the bid. Accepted with the
-    premium: deployment plus premium net of the bid.
-    """
+    """Scalar view of realized_utilities with its flags validated."""
     if not (0.0 <= bid <= 1.0):
         raise DomainError(f"bid outside [0, 1]: {bid}")
     if won_premium and not accepted:
         raise DomainError("inconsistent flags: premium won without acceptance")
-    if not accepted:
-        return -bid
-    if won_premium:
-        return v_d + v_p - bid
-    return v_d - bid
-
-
-# ---------------------------------------------------------------------------
-# Vectorized premium awards
+    return float(realized_utilities(v_d, v_p, bid, accepted, won_premium))
 
 
 def award_premiums_independent(
@@ -151,8 +128,7 @@ def award_premiums_independent(
     opponent_ranks[i] indexes another accepted agent (never i itself);
     coins break exact ties. Returns the win flags.
     """
-    opp = bids[opponent_ranks]
-    return np.where(bids == opp, coins, bids > opp)
+    return beats(bids, bids[opponent_ranks], coins)
 
 
 def _draw_opponent_ranks(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -185,7 +161,7 @@ def _award_round_perfect(
     first = perm[0 : 2 * n_pairs : 2]
     second = perm[1 : 2 * n_pairs : 2]
     coins = tie_rng.random(n_pairs) < 0.5
-    first_wins = np.where(bids[first] == bids[second], coins, bids[first] > bids[second])
+    first_wins = beats(bids[first], bids[second], coins)
     won[first] = first_wins
     won[second] = ~first_wins
     if m % 2 == 1:
@@ -193,36 +169,12 @@ def _award_round_perfect(
         r = int(opp_rng.integers(0, m - 1))
         other = r + (r >= leftover)
         coin = bool(tie_rng.random() < 0.5)
-        if bids[leftover] == bids[other]:
-            won[leftover] = coin
-        else:
-            won[leftover] = bids[leftover] > bids[other]
+        won[leftover] = beats(bids[leftover], bids[other], coin)
     return won
 
 
 # ---------------------------------------------------------------------------
 # Reports
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    """One agent's result in one round."""
-
-    won_premium: bool
-    value_gained: float
-
-
-@dataclass(frozen=True)
-class AgentOutcome:
-    """One agent's complete record for a run."""
-
-    valuation: AgentValuation
-    decision: BidDecision
-    accepted: bool
-    won_premium: bool
-    bid_paid: float
-    realized_utility: float
-    rounds: tuple[RoundOutcome, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,60 +225,20 @@ class AuctionReport:
         """Running utility after each round: value to date minus the sunk bid."""
         return np.cumsum(self.value_by_round, axis=0) - self.bid_paid[None, :]
 
-    def outcome(self, index: int) -> AgentOutcome:
-        i = int(index)
-        if not 0 <= i < self.n_agents:
-            raise DomainError(f"agent index out of range: {index}")
-        valuation = AgentValuation(
-            total_value=float(self.total_value[i]),
-            scaling_factor=float(self.scaling_factor[i]),
-        )
-        decision = BidDecision(
-            raw_bid=float(self.raw_bid[i]),
-            bid=float(self.bid[i]),
-            predicted_utility=float(self.predicted_utility[i]),
-            participates=bool(self.participates[i]),
-            safety=float(self.safety[i]),
-        )
-        rounds = tuple(
-            RoundOutcome(
-                won_premium=bool(self.won_by_round[r, i]),
-                value_gained=float(self.value_by_round[r, i]),
-            )
-            for r in range(self.rounds)
-        )
-        return AgentOutcome(
-            valuation=valuation,
-            decision=decision,
-            accepted=bool(self.accepted[i]),
-            won_premium=bool(self.won_by_round[:, i].any()),
-            bid_paid=float(self.bid_paid[i]),
-            realized_utility=float(self.realized_utility[i]),
-            rounds=rounds,
-        )
-
-    def outcomes(self) -> Iterator[AgentOutcome]:
-        for i in range(self.n_agents):
-            yield self.outcome(i)
-
 
 def _aggregate(
     config: AuctionConfig,
     mechanism: str,
     total: np.ndarray,
     lam: np.ndarray,
-    raw: np.ndarray,
-    bid: np.ndarray,
-    predicted: np.ndarray,
-    participates: np.ndarray,
-    accepted: np.ndarray,
-    bid_paid: np.ndarray,
-    safety: np.ndarray,
+    premium: np.ndarray,
+    deployment: np.ndarray,
+    decision: DecisionArrays,
     won_by_round: np.ndarray,
     value_by_round: np.ndarray,
 ) -> AuctionReport:
-    premium = lam * total
-    deployment = total - premium
+    participates = decision.participates
+    bid_paid = np.where(participates, decision.bid, 0.0)
     realized = value_by_round.sum(axis=0) - bid_paid
     any_participant = bool(participates.any())
     return AuctionReport(
@@ -336,18 +248,18 @@ def _aggregate(
         scaling_factor=lam,
         premium_value=premium,
         deployment_value=deployment,
-        raw_bid=raw,
-        bid=bid,
-        predicted_utility=predicted,
+        raw_bid=decision.raw_bid,
+        bid=decision.bid,
+        predicted_utility=decision.predicted_utility,
         participates=participates,
-        accepted=accepted,
+        accepted=participates,
         bid_paid=bid_paid,
-        safety=safety,
+        safety=decision.safety,
         won_by_round=won_by_round,
         value_by_round=value_by_round,
         realized_utility=realized,
         participation_rate=float(participates.mean()),
-        mean_bid=float(bid[participates].mean()) if any_participant else float("nan"),
+        mean_bid=float(decision.bid[participates].mean()) if any_participant else float("nan"),
         mean_realized_utility=float(realized.mean()),
         premium_award_count=int(won_by_round.sum()),
     )
@@ -377,31 +289,14 @@ def run_reserve_threshold(config: AuctionConfig) -> AuctionReport:
 def _reserve_from_population(
     config: AuctionConfig, total: np.ndarray, lam: np.ndarray
 ) -> AuctionReport:
-    n = total.size
     premium = lam * total
     deployment = total - premium
-    predicted = deployment - config.p_eps
-    participates = predicted > 0.0
-    bid = np.full(n, float(config.p_eps))
-    bid_paid = np.where(participates, bid, 0.0)
-    safety = np.where(participates, config.model.safety_from_bid(config.p_eps), 0.0)
-    accepted = participates.copy()
-    won_by_round = np.zeros((1, n), dtype=bool)
-    value_by_round = np.where(accepted, deployment, 0.0)[None, :]
+    decision = reserve_decision_arrays(deployment, config.p_eps, config.model)
+    won_by_round = np.zeros((1, total.size), dtype=bool)
+    value_by_round = np.where(decision.participates, deployment, 0.0)[None, :]
     return _aggregate(
-        config,
-        RESERVE_THRESHOLD,
-        total,
-        lam,
-        bid.copy(),
-        bid,
-        predicted,
-        participates,
-        accepted,
-        bid_paid,
-        safety,
-        won_by_round,
-        value_by_round,
+        config, RESERVE_THRESHOLD, total, lam, premium, deployment, decision,
+        won_by_round, value_by_round,
     )
 
 
@@ -410,9 +305,11 @@ def _sira_from_population(
 ) -> AuctionReport:
     n = total.size
     decision = sira_decision_arrays(total, lam, config.p_eps, config.family, config.model)
-    participates = decision.participates
-    accepted = participates & (decision.bid >= config.p_eps)
-    bid_paid = np.where(participates, decision.bid, 0.0)
+    # Every participant is accepted: the equilibrium bid never falls below
+    # the clearing price, and the cap at 1 lies above it.
+    accepted = decision.participates
+    if np.any(accepted & (decision.bid < config.p_eps)):
+        raise NumericalError("a participant's bid fell below the clearing price")
     premium = lam * total
     deployment = total - premium
 
@@ -437,19 +334,8 @@ def _sira_from_population(
         won_by_round[r] = won
         value_by_round[r] = gain
     return _aggregate(
-        config,
-        SIRA,
-        total,
-        lam,
-        decision.raw_bid,
-        decision.bid,
-        decision.predicted_utility,
-        participates,
-        accepted,
-        bid_paid,
-        safety=decision.safety,
-        won_by_round=won_by_round,
-        value_by_round=value_by_round,
+        config, SIRA, total, lam, premium, deployment, decision,
+        won_by_round, value_by_round,
     )
 
 

@@ -31,6 +31,7 @@ from .value_model import (
     SafetyCostModel,
     AgentValuation,
     ValueFamily,
+    _beta_mass,
 )
 
 P_EPS_MIN = 1e-6
@@ -100,7 +101,7 @@ def sira_bid_beta(v_p, p_eps):
     check_p_eps(p_eps)
     v = _check_premium(v_p)
     p = float(p_eps)
-    mass = 1.0 - (3.0 * p**2 - 2.0 * p**3)
+    mass = _beta_mass(p)
     out = np.piecewise(
         np.atleast_1d(v),
         [np.atleast_1d(v) <= p / 2.0],
@@ -167,39 +168,36 @@ def sira_bid_generic(
     return p_eps + v * float(premium_cdf(v)) - integral
 
 
-def equilibrium_utility(v_d: float, v_p: float, bid: float, premium_cdf) -> float:
+def submitted_bid(family: ValueFamily, v_p, p_eps):
+    """The bid an equilibrium agent submits: the closed-form bid capped at 1."""
+    return cap_bid(sira_bid(family, v_p, p_eps))
+
+
+def predicted_utilities(v_d, v_p, bid, cdf_at_v_p):
     """Expected utility of submitting an equilibrium bid.
 
     Against equilibrium opponents a bid below 1 wins the premium with
     probability F_v(v_p); a bid capped at 1 wins outright. The bid
     itself is sunk either way.
     """
+    return np.where(bid >= 1.0, v_d + v_p - 1.0, v_d + v_p * cdf_at_v_p - bid)
+
+
+def realized_utilities(v_d, v_p, bid, accepted, won):
+    """Utility realized by agents that submitted (and sank) a bid.
+
+    A rejected bid is lost outright; an accepted bid earns the
+    deployment value, plus the premium when it wins its comparison.
+    """
+    return np.where(accepted, v_d + v_p * won - bid, -bid)
+
+
+def equilibrium_utility(v_d: float, v_p: float, bid: float, premium_cdf) -> float:
+    """Scalar view of predicted_utilities; a capped bid never calls the cdf."""
     if bid < 0.0:
         raise DomainError("bid must be non-negative")
-    if bid >= 1.0:
-        return v_d + v_p - 1.0
-    return v_d + v_p * float(premium_cdf(v_p)) - bid
-
-
-def reserve_threshold_bid(
-    deployment_value: float,
-    p_eps: float,
-    model: SafetyCostModel = SafetyCostModel(),
-) -> BidDecision:
-    """Reserve-threshold decision: bid the clearing price or stay out."""
-    check_p_eps(p_eps)
-    if not (0.0 <= deployment_value <= 1.0):
-        raise DomainError(f"deployment value outside [0, 1]: {deployment_value}")
-    utility = deployment_value - p_eps
-    participates = utility > 0.0
-    safety = model.safety_from_bid(p_eps) if participates else 0.0
-    return BidDecision(
-        raw_bid=float(p_eps),
-        bid=float(p_eps),
-        predicted_utility=float(utility),
-        participates=bool(participates),
-        safety=float(safety),
-    )
+    cdf_at_v_p = float(premium_cdf(v_p)) if bid < 1.0 else 1.0
+    return float(predicted_utilities(v_d, v_p, bid, cdf_at_v_p))
 
 
 class DecisionArrays(NamedTuple):
@@ -210,6 +208,39 @@ class DecisionArrays(NamedTuple):
     predicted_utility: np.ndarray
     participates: np.ndarray
     safety: np.ndarray
+
+
+def _first_decision(arrays: DecisionArrays) -> BidDecision:
+    """The first agent of a population evaluation, as plain Python values."""
+    return BidDecision(*(column[0].item() for column in arrays))
+
+
+def reserve_decision_arrays(
+    deployment_value: np.ndarray, p_eps: float, model: SafetyCostModel
+) -> DecisionArrays:
+    """Evaluate the reserve-threshold strategy for a whole population at once.
+
+    Every agent's bid is exactly the clearing price, and an agent
+    participates when its deployment value strictly exceeds that price.
+    """
+    check_p_eps(p_eps)
+    v_d = np.asarray(deployment_value, dtype=float)
+    bid = np.full(v_d.shape, float(p_eps))
+    utility = v_d - p_eps
+    participates = utility > 0.0
+    safety = np.where(participates, model.safety_from_bid(p_eps), 0.0)
+    return DecisionArrays(bid.copy(), bid, utility, participates, safety)
+
+
+def reserve_threshold_bid(
+    deployment_value: float,
+    p_eps: float,
+    model: SafetyCostModel = SafetyCostModel(),
+) -> BidDecision:
+    """Reserve-threshold decision for one agent: bid the clearing price or stay out."""
+    if not (0.0 <= deployment_value <= 1.0):
+        raise DomainError(f"deployment value outside [0, 1]: {deployment_value}")
+    return _first_decision(reserve_decision_arrays(np.array([deployment_value]), p_eps, model))
 
 
 def sira_decision_arrays(
@@ -225,10 +256,9 @@ def sira_decision_arrays(
     v_p = lam * total
     v_d = total - v_p
     raw = sira_bid(family, v_p, p_eps)
-    bid = np.minimum(raw, 1.0)
-    dist = PremiumValueDistribution(family=family, p_eps=p_eps)
-    cdf_vals = dist.cdf(v_p)
-    utility = np.where(bid >= 1.0, v_d + v_p - 1.0, v_d + v_p * cdf_vals - bid)
+    bid = cap_bid(raw)
+    cdf_vals = PremiumValueDistribution(family=family, p_eps=p_eps).cdf(v_p)
+    utility = predicted_utilities(v_d, v_p, bid, cdf_vals)
     participates = utility > 0.0
     safety = np.where(participates, model.safety_from_bid(bid), 0.0)
     return DecisionArrays(raw, bid, utility, participates, safety)
@@ -241,17 +271,12 @@ def decide(
     model: SafetyCostModel = SafetyCostModel(),
 ) -> BidDecision:
     """Full SIRA decision for one agent: bid, cap, utility, participation."""
-    arrays = sira_decision_arrays(
-        np.array([valuation.total_value]),
-        np.array([valuation.scaling_factor]),
-        p_eps,
-        family,
-        model,
-    )
-    return BidDecision(
-        raw_bid=float(arrays.raw_bid[0]),
-        bid=float(arrays.bid[0]),
-        predicted_utility=float(arrays.predicted_utility[0]),
-        participates=bool(arrays.participates[0]),
-        safety=float(arrays.safety[0]),
+    return _first_decision(
+        sira_decision_arrays(
+            np.array([valuation.total_value]),
+            np.array([valuation.scaling_factor]),
+            p_eps,
+            family,
+            model,
+        )
     )

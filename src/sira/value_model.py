@@ -390,7 +390,7 @@ class PremiumValueDistribution:
             else:
                 val = (2.0 * y * (math.log(2.0 * y) - 1.0) + p) / (p - 1.0)
         else:
-            mass = 1.0 - (3.0 * p**2 - 2.0 * p**3)
+            mass = _beta_mass(p)
             if y <= self.breakpoint:
                 val = 6.0 * y * (p**2 - 2.0 * p + 1.0) / mass
             else:

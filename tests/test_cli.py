@@ -38,8 +38,9 @@ def test_grid_converter_rejects_garbage():
 
 
 def test_scalar_converters_reject_garbage():
-    with pytest.raises(ConfigError):
-        cli._to_int("1.5")
+    for bad in ("1.5", 1000.7, float("inf"), float("nan"), True):
+        with pytest.raises(ConfigError):
+            cli._to_int(bad)
     with pytest.raises(ConfigError):
         cli._to_float("one")
     with pytest.raises(ConfigError):
@@ -83,6 +84,15 @@ def test_config_file_unknown_field_is_named(tmp_path):
         cli.parse_run_spec(["auction", "--config", str(cfg)])
 
 
+def test_config_file_integers_must_be_integral(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n_agents": 1000.7}))
+    with pytest.raises(ConfigError, match="--n-agents"):
+        cli.parse_run_spec(["auction", "--config", str(cfg)])
+    cfg.write_text(json.dumps({"n_agents": 1000.0}))
+    assert cli.parse_run_spec(["auction", "--config", str(cfg)]).params["n_agents"] == 1000
+
+
 def test_config_file_subcommand_mismatch(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"subcommand": "sweep"}))
@@ -112,6 +122,15 @@ def test_bad_p_eps_exits_usage(tmp_path, capsys):
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "p_eps" in err  # the offending field is named
+
+
+def test_parser_error_returns_usage_in_process(capsys):
+    # A missing option value must come back as an exit code, not SystemExit.
+    assert _run(["auction", "--n-agents"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--n-agents" in err
+    assert _run(["no-such-command"]) == cli.EXIT_USAGE
+    assert _run(["--version"]) == cli.EXIT_OK
 
 
 def test_unwritable_output_exits_io(tmp_path, capsys):

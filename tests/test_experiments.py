@@ -96,6 +96,9 @@ def test_deviation_sweep_rejects_bad_deltas():
         deviation_sweep(ValueFamily.UNIFORM, 0.5, PROBE, [1.5], 100, seed=1)
     with pytest.raises(DomainError):
         deviation_sweep(ValueFamily.UNIFORM, 0.5, PROBE, [-1.1], 100, seed=1)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DomainError):
+            deviation_sweep(ValueFamily.UNIFORM, 0.5, PROBE, [bad, 0.1], 100, seed=1)
 
 
 def test_deviation_sweep_empty_grid_collapses_to_equilibrium():

@@ -4,19 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sira.errors import ConfigError, DomainError
+import sira.mechanism as mechanism
+from sira.errors import ConfigError, DomainError, NumericalError
 from sira.mechanism import (
     RESERVE_THRESHOLD,
     SIRA,
     AuctionConfig,
     PairingMode,
-    TieRule,
     _award_round_perfect,
     _draw_opponent_ranks,
     _reserve_from_population,
     _sira_from_population,
     award_premiums_independent,
+    beats,
     compare_pair,
     realize_utility,
     run_repeated_sira,
@@ -61,6 +64,27 @@ def test_compare_pair_tie_uses_fair_coin():
     assert 4800 < wins < 5200
 
 
+def test_compare_pair_draws_a_coin_only_on_a_tie():
+    rng, twin = substream(2, 1), substream(2, 1)
+    assert compare_pair(0.7, 0.6, rng) is True
+    assert compare_pair(0.5, 0.5, rng) == (twin.random() < 0.5)
+    assert rng.random() == twin.random()
+
+
+def test_beats_matches_a_plain_loop_on_forced_ties():
+    rng = substream(7, 0)
+    # Bids on a five-point grid force many exact ties.
+    bids = rng.integers(0, 5, size=2000) / 4.0
+    other = rng.integers(0, 5, size=2000) / 4.0
+    coins = rng.random(2000) < 0.5
+    expected = [
+        coin if b == o else b > o
+        for b, o, coin in zip(bids.tolist(), other.tolist(), coins.tolist())
+    ]
+    assert int((bids == other).sum()) > 300
+    np.testing.assert_array_equal(beats(bids, other, coins), expected)
+
+
 def test_compare_pair_rejects_negative_bids():
     rng = substream(3, 0)
     with pytest.raises(DomainError):
@@ -74,6 +98,11 @@ def test_realize_utility_branches():
     assert realize_utility(0.6, True, False, 0.7, 0.1) == pytest.approx(0.1, abs=1e-15)
     # Accepted, premium won.
     assert realize_utility(0.6, True, True, 0.7, 0.1) == pytest.approx(0.2, abs=1e-15)
+
+
+def test_realize_utility_rejected_zero_bid_is_negative_zero():
+    # The sunk bid is negated, so a zero stake keeps its sign: CSV writes -0.
+    assert math.copysign(1.0, realize_utility(0.0, False, False, 0.6, 0.2)) == -1.0
 
 
 def test_realize_utility_rejects_inconsistent_flags():
@@ -117,6 +146,20 @@ def test_perfect_matching_winner_count(m):
     bids = substream(6, 2).random(m)  # distinct with probability 1
     won = _award_round_perfect(bids, opp_rng, tie_rng)
     assert int(won.sum()) in (m // 2, m // 2 + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(min_value=2, max_value=400),
+    levels=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_perfect_matching_awards_one_per_pair_plus_leftover(m, levels, seed):
+    # Few bid levels force ties, which the coins settle within each pair.
+    bids = substream(seed, 2).integers(0, levels, size=m) / levels
+    won = _award_round_perfect(bids, substream(seed, 0), substream(seed, 1))
+    extra = int(won.sum()) - m // 2
+    assert extra in ((0, 1) if m % 2 else (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +321,18 @@ def test_sira_single_accepted_agent_wins_nothing():
     assert report.realized_utility[1] == 0.0
 
 
+def test_participant_bid_below_the_price_is_a_numerical_error(monkeypatch):
+    real = mechanism.sira_decision_arrays
+
+    def lowered(*args):
+        decision = real(*args)
+        return decision._replace(bid=decision.bid - 0.25)
+
+    monkeypatch.setattr(mechanism, "sira_decision_arrays", lowered)
+    with pytest.raises(NumericalError):
+        run_sira(_config(n_agents=100))
+
+
 def test_sira_perfect_matching_round_counts():
     config = _config(n_agents=2000, pairing=PairingMode.PERFECT_MATCHING)
     report = run_sira(config)
@@ -293,18 +348,6 @@ def test_sira_safety_floor():
         floor = config.model.safety_from_bid(config.p_eps)
         assert np.all(report.safety[report.accepted] >= floor - 1e-12)
         assert np.all(report.safety[~report.participates] == 0.0)
-
-
-def test_outcome_accessors_round_trip():
-    report = run_sira(_config(n_agents=50))
-    out = report.outcome(7)
-    assert out.valuation.total_value == report.total_value[7]
-    assert out.decision.bid == report.bid[7]
-    assert out.realized_utility == report.realized_utility[7]
-    assert len(out.rounds) == 1
-    assert sum(1 for _ in report.outcomes()) == 50
-    with pytest.raises(DomainError):
-        report.outcome(50)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,15 @@ from sira.strategy import (
     cap_bid,
     decide,
     equilibrium_utility,
+    predicted_utilities,
+    reserve_decision_arrays,
     reserve_threshold_bid,
     sira_bid,
     sira_bid_beta,
     sira_bid_generic,
     sira_bid_uniform,
     sira_decision_arrays,
+    submitted_bid,
 )
 from sira.value_model import (
     AgentValuation,
@@ -148,6 +151,22 @@ def test_equilibrium_utility_capped_bid_ignores_cdf():
     assert equilibrium_utility(0.9, 0.3, 1.0, None) == pytest.approx(0.2, abs=1e-15)
 
 
+def test_predicted_utilities_match_scalar_view_on_both_branches():
+    family, p = ValueFamily.UNIFORM, 0.9
+    total, lam = sample_valuations(family, substream(31, 0), 2000)
+    v_p = lam * total
+    v_d = total - v_p
+    bid = submitted_bid(family, v_p, p)
+    assert np.any(bid >= 1.0) and np.any(bid < 1.0)
+    dist = PremiumValueDistribution(family, p)
+    got = predicted_utilities(v_d, v_p, bid, dist.cdf(v_p))
+    expected = [
+        equilibrium_utility(d, v, b, dist.cdf)
+        for d, v, b in zip(v_d.tolist(), v_p.tolist(), bid.tolist())
+    ]
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_equilibrium_utility_rejects_negative_bid():
     with pytest.raises(DomainError):
         equilibrium_utility(0.5, 0.2, -0.2, lambda y: y)
@@ -182,6 +201,15 @@ def test_reserve_decision_nonidentity_cost():
     d = reserve_threshold_bid(0.7, 0.5, model=SafetyCostModel(gamma=2.0))
     assert d.bid == 0.5
     assert d.safety == pytest.approx(math.sqrt(0.5), abs=1e-15)
+
+
+def test_reserve_arrays_match_scalar_view():
+    model = SafetyCostModel(gamma=2.0)
+    v_d = np.array([0.0, 0.3, 0.5, 0.7, 1.0])
+    arrays = reserve_decision_arrays(v_d, 0.5, model)
+    for i, v in enumerate(v_d.tolist()):
+        scalar = reserve_threshold_bid(v, 0.5, model)
+        assert scalar == BidDecision(*(column[i].item() for column in arrays))
 
 
 def test_reserve_decision_rejects_bad_inputs():
