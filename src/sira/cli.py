@@ -9,10 +9,12 @@ against quadrature).
 Every output file is self-describing: it carries the tool version and
 the echoed run configuration, including the seed, and contains no
 timestamps, so rerunning the same specification writes byte-identical
-files. --workers never changes results; it only parallelizes sweep
-evaluation. Options may also be supplied through --config FILE (JSON
-object keyed by option name); explicit flags win over the file, which
-wins over defaults. Unknown config fields are rejected.
+files. JSON writes undefined statistics (nan or infinite values) as
+null, and CSV writes them as nan. --workers never changes results; it
+only parallelizes sweep evaluation. Options may also be supplied
+through --config FILE (JSON object keyed by option name); explicit
+flags win over the file, which wins over defaults. Unknown config
+fields are rejected.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical
 failure, 4 I/O failure.
@@ -26,7 +28,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -355,65 +357,58 @@ def parse_run_spec(argv: list[str] | None = None) -> RunSpec:
 
 
 # ---------------------------------------------------------------------------
-# Output writers
+# Output writer
+
+# CSV rows formatted and written at a time; bounds the text held in memory.
+_BLOCK_ROWS = 1 << 16
 
 
-def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".9g")
-    return str(value)
+def _cells(column: np.ndarray) -> list[str]:
+    """One column as CSV cells: bools as 1/0, floats to 9 significant digits."""
+    if column.dtype.kind == "b":
+        return np.where(column, "1", "0").tolist()
+    return list(map("{:.9g}".format if column.dtype.kind == "f" else str, column.tolist()))
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+def _json_default(value):
+    """Arrays and numpy scalars as JSON values; nan and inf become null."""
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        if value.dtype.kind == "f" and not np.isfinite(value).all():
+            value = np.where(np.isfinite(value), value, None)
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
 def _emit(
     spec: RunSpec,
     summary: dict[str, Any],
-    columns: list[str],
-    rows: Iterable[tuple],
+    columns: dict[str, np.ndarray],
     results: dict[str, Any],
 ) -> Path:
-    echo = json.dumps(_jsonable(spec.config_echo), sort_keys=True, separators=(",", ":"))
-    if spec.fmt == "csv":
-        lines = [f"# sira {__version__}", f"# config {echo}"]
-        for key in sorted(summary):
-            lines.append(f"# {key} {_cell(summary[key])}")
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_cell(v) for v in row))
-        _write_text(spec.out_path, "\n".join(lines) + "\n")
-    else:
-        payload = {
-            "tool": "sira",
-            "version": __version__,
-            "config": _jsonable(spec.config_echo),
-            "summary": _jsonable(summary),
-            "results": _jsonable(results),
-        }
-        _write_text(spec.out_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with open(spec.out_path, "w", encoding="utf-8", newline="\n") as handle:
+        if spec.fmt == "json":
+            payload = {
+                "tool": "sira",
+                "version": __version__,
+                "config": spec.config_echo,
+                "summary": summary,
+                "results": results,
+            }
+            json.dump(payload, handle, sort_keys=True, indent=2, allow_nan=False,
+                      default=_json_default)
+            handle.write("\n")
+        else:
+            echo = json.dumps(spec.config_echo, sort_keys=True, separators=(",", ":"))
+            handle.write(f"# sira {__version__}\n# config {echo}\n")
+            for key in sorted(summary):
+                handle.write(f"# {key} {_cells(np.array([summary[key]]))[0]}\n")
+            handle.write(",".join(columns) + "\n")
+            n_rows = len(next(iter(columns.values())))
+            for start in range(0, n_rows, _BLOCK_ROWS):
+                block = [_cells(col[start : start + _BLOCK_ROWS]) for col in columns.values()]
+                handle.write("\n".join(map(",".join, zip(*block))) + "\n")
     return spec.out_path
 
 
@@ -433,74 +428,44 @@ def _auction_config(params: dict[str, Any], rounds: int = 1) -> AuctionConfig:
     )
 
 
-def _report_output(report: AuctionReport) -> tuple[dict, list[str], list[tuple], dict]:
+_AGENT_FIELDS = (
+    "total_value",
+    "scaling_factor",
+    "deployment_value",
+    "premium_value",
+    "raw_bid",
+    "bid",
+    "predicted_utility",
+    "participates",
+    "accepted",
+    "won_premium",
+    "bid_paid",
+    "realized_utility",
+    "safety",
+)
+
+
+def _report_output(report: AuctionReport) -> tuple[dict, dict, dict]:
+    # Arrays, so that JSON writes a mean bid without participants as null.
     summary = {
-        "participation_rate": report.participation_rate,
-        "mean_bid": report.mean_bid,
-        "mean_realized_utility": report.mean_realized_utility,
-        "premium_award_count": report.premium_award_count,
+        name: np.asarray(getattr(report, name))
+        for name in ("participation_rate", "mean_bid", "mean_realized_utility",
+                     "premium_award_count")
     }
-    columns = [
-        "agent",
-        "total_value",
-        "scaling_factor",
-        "deployment_value",
-        "premium_value",
-        "raw_bid",
-        "bid",
-        "predicted_utility",
-        "participates",
-        "accepted",
-        "won_premium",
-        "premium_wins",
-        "bid_paid",
-        "realized_utility",
-        "safety",
-    ]
-    premium_wins = report.won_by_round.sum(axis=0)
-    won_any = report.won_premium
-    rows = [
-        (
-            i,
-            report.total_value[i],
-            report.scaling_factor[i],
-            report.deployment_value[i],
-            report.premium_value[i],
-            report.raw_bid[i],
-            report.bid[i],
-            report.predicted_utility[i],
-            report.participates[i],
-            report.accepted[i],
-            won_any[i],
-            premium_wins[i],
-            report.bid_paid[i],
-            report.realized_utility[i],
-            report.safety[i],
-        )
-        for i in range(report.n_agents)
-    ]
+    agents = {name: getattr(report, name) for name in _AGENT_FIELDS}
+    columns = {"agent": np.arange(report.n_agents)}
+    for name, column in agents.items():
+        columns[name] = column
+        if name == "won_premium":
+            columns["premium_wins"] = report.won_by_round.sum(axis=0)
     results = {
         "mechanism": report.mechanism,
         "aggregates": summary,
-        "agents": {
-            "total_value": report.total_value,
-            "scaling_factor": report.scaling_factor,
-            "deployment_value": report.deployment_value,
-            "premium_value": report.premium_value,
-            "raw_bid": report.raw_bid,
-            "bid": report.bid,
-            "predicted_utility": report.predicted_utility,
-            "participates": report.participates,
-            "accepted": report.accepted,
-            "won_premium": won_any,
-            "bid_paid": report.bid_paid,
-            "realized_utility": report.realized_utility,
-            "safety": report.safety,
-        },
+        "agents": agents,
         "won_by_round": report.won_by_round,
         "value_by_round": report.value_by_round,
     }
-    return summary, columns, rows, results
+    return summary, columns, results
 
 
 def _handle_auction(spec: RunSpec) -> Path:
@@ -540,27 +505,15 @@ def _handle_deviation(spec: RunSpec) -> Path:
         "base_bid": result.bids[zero],
         "mean_utility_at_optimum": result.mean_utility[zero],
     }
-    columns = [
-        "delta",
-        "mean_utility",
-        "std_err",
-        "n_samples",
-        "bid",
-        "gap_vs_optimum",
-        "gap_std_err",
-    ]
-    rows = [
-        (
-            result.deltas[i],
-            result.mean_utility[i],
-            result.std_error[i],
-            result.n_opponents,
-            result.bids[i],
-            result.gap_vs_optimum[i],
-            result.gap_std_error[i],
-        )
-        for i in range(result.deltas.size)
-    ]
+    columns = {
+        "delta": result.deltas,
+        "mean_utility": result.mean_utility,
+        "std_err": result.std_error,
+        "n_samples": np.full(result.deltas.size, result.n_opponents),
+        "bid": result.bids,
+        "gap_vs_optimum": result.gap_vs_optimum,
+        "gap_std_err": result.gap_std_error,
+    }
     results = {
         "deltas": result.deltas,
         "bids": result.bids,
@@ -571,7 +524,7 @@ def _handle_deviation(spec: RunSpec) -> Path:
         "n_opponents": result.n_opponents,
         "optimum_index": zero,
     }
-    return _emit(spec, summary, columns, rows, results)
+    return _emit(spec, summary, columns, results)
 
 
 def _handle_sweep(spec: RunSpec) -> Path:
@@ -589,36 +542,22 @@ def _handle_sweep(spec: RunSpec) -> Path:
         "max_participation_uplift": result.participation_uplift[best],
         "max_participation_uplift_p_eps": result.p_eps[best],
     }
-    columns = [
-        "p_eps",
-        "mechanism",
-        "participation_rate",
-        "mean_bid",
-        "se_participation",
-        "se_bid",
-    ]
-    rows = []
-    for i in range(result.p_eps.size):
-        rows.append(
-            (
-                result.p_eps[i],
-                "reserve",
-                result.reserve_participation[i],
-                result.reserve_mean_bid[i],
-                result.reserve_participation_se[i],
-                result.reserve_mean_bid_se[i],
-            )
-        )
-        rows.append(
-            (
-                result.p_eps[i],
-                "sira",
-                result.sira_participation[i],
-                result.sira_mean_bid[i],
-                result.sira_participation_se[i],
-                result.sira_mean_bid_se[i],
-            )
-        )
+
+    def by_mechanism(reserve: np.ndarray, sira: np.ndarray) -> np.ndarray:
+        return np.column_stack([reserve, sira]).ravel()
+
+    columns = {
+        "p_eps": np.repeat(result.p_eps, 2),
+        "mechanism": np.tile(["reserve", "sira"], result.p_eps.size),
+        "participation_rate": by_mechanism(
+            result.reserve_participation, result.sira_participation
+        ),
+        "mean_bid": by_mechanism(result.reserve_mean_bid, result.sira_mean_bid),
+        "se_participation": by_mechanism(
+            result.reserve_participation_se, result.sira_participation_se
+        ),
+        "se_bid": by_mechanism(result.reserve_mean_bid_se, result.sira_mean_bid_se),
+    }
     results = {
         "p_eps": result.p_eps,
         "reserve_participation": result.reserve_participation,
@@ -635,7 +574,7 @@ def _handle_sweep(spec: RunSpec) -> Path:
         "mean_bid_uplift_se": result.mean_bid_uplift_se,
         "n_agents": result.n_agents,
     }
-    return _emit(spec, summary, columns, rows, results)
+    return _emit(spec, summary, columns, results)
 
 
 def _handle_validate_dist(spec: RunSpec) -> Path:
@@ -648,28 +587,15 @@ def _handle_validate_dist(spec: RunSpec) -> Path:
         "cdf_sup_error": result.cdf_sup_error,
         "ks_distance": result.ks_distance,
     }
-    columns = [
-        "bin_center",
-        "bin_right_edge",
-        "empirical_pdf",
-        "analytic_pdf",
-        "empirical_cdf",
-        "analytic_cdf",
-    ]
     table = result.table
-    centers = table.centers
-    rights = table.right_edges
-    rows = [
-        (
-            centers[i],
-            rights[i],
-            table.density[i],
-            result.analytic_density[i],
-            table.cumulative[i],
-            result.analytic_cdf[i],
-        )
-        for i in range(centers.size)
-    ]
+    columns = {
+        "bin_center": table.centers,
+        "bin_right_edge": table.right_edges,
+        "empirical_pdf": table.density,
+        "analytic_pdf": result.analytic_density,
+        "empirical_cdf": table.cumulative,
+        "analytic_cdf": result.analytic_cdf,
+    }
     results = {
         "bin_edges": table.bin_edges,
         "empirical_pdf": table.density,
@@ -680,7 +606,7 @@ def _handle_validate_dist(spec: RunSpec) -> Path:
         "cdf_sup_error": result.cdf_sup_error,
         "ks_distance": result.ks_distance,
     }
-    return _emit(spec, summary, columns, rows, results)
+    return _emit(spec, summary, columns, results)
 
 
 def _handle_crosscheck(spec: RunSpec) -> Path:
@@ -689,22 +615,15 @@ def _handle_crosscheck(spec: RunSpec) -> Path:
         ValueFamily(p["family"]), p["v_p_grid"], p["p_eps_list"]
     )
     summary = {"max_abs_diff": result.max_abs_diff}
-    columns = ["family", "p_eps", "v_p", "closed_form_bid", "quadrature_bid", "abs_diff"]
-    rows = []
-    for i in range(result.p_eps.size):
-        for j in range(result.v_p.size):
-            closed = result.closed_form[i, j]
-            quad = result.quadrature[i, j]
-            rows.append(
-                (
-                    p["family"],
-                    result.p_eps[i],
-                    result.v_p[j],
-                    closed,
-                    quad,
-                    abs(closed - quad),
-                )
-            )
+    n_p, n_v = result.closed_form.shape
+    columns = {
+        "family": np.full(n_p * n_v, p["family"]),
+        "p_eps": np.repeat(result.p_eps, n_v),
+        "v_p": np.tile(result.v_p, n_p),
+        "closed_form_bid": result.closed_form.ravel(),
+        "quadrature_bid": result.quadrature.ravel(),
+        "abs_diff": np.abs(result.closed_form - result.quadrature).ravel(),
+    }
     results = {
         "p_eps": result.p_eps,
         "v_p": result.v_p,
@@ -712,7 +631,7 @@ def _handle_crosscheck(spec: RunSpec) -> Path:
         "quadrature": result.quadrature,
         "max_abs_diff": result.max_abs_diff,
     }
-    return _emit(spec, summary, columns, rows, results)
+    return _emit(spec, summary, columns, results)
 
 
 _HANDLERS: dict[str, Callable[[RunSpec], Path]] = {

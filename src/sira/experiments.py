@@ -16,20 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .mechanism import (
-    AuctionConfig,
-    AuctionReport,
-    _draw_population,
-    _reserve_from_population,
-    _sira_from_population,
-    beats,
-)
+from .mechanism import AuctionConfig, _draw_population, _sira_decisions, beats
 from .seeding import STREAM_EXPERIMENT, child_seed, substream
 from .strategy import (
     cap_bid,
     check_p_eps,
     predicted_utilities,
     realized_utilities,
+    reserve_decision_arrays,
     sira_bid,
     sira_bid_generic,
     submitted_bid,
@@ -197,10 +191,9 @@ class ThresholdSweepResult:
     mean_bid_uplift_se: np.ndarray
 
 
-def _mechanism_stats(report: AuctionReport) -> tuple[float, float, float, float]:
+def _mechanism_stats(participates: np.ndarray, bid: np.ndarray) -> tuple[float, ...]:
     """Participation rate and mean participant bid, each with its standard error."""
-    mask = report.participates
-    return (*_mean_se(mask), *_mean_se(report.bid[mask]))
+    return (*_mean_se(participates), *_mean_se(bid[participates]))
 
 
 def _sweep_point(
@@ -208,16 +201,17 @@ def _sweep_point(
 ) -> tuple[float, ...]:
     """One grid point's summary row, in ThresholdSweepResult field order.
 
-    The population is drawn once and fed to both engines.
+    The population is drawn once and fed to both decision kernels; the
+    summary needs no premium contest.
     """
     config = AuctionConfig(
         n_agents=n_agents, p_eps=p_eps, family=family, seed=point_seed, gamma=gamma
     )
     total, lam = _draw_population(config)
-    reserve = _reserve_from_population(config, total, lam)
-    sira = _sira_from_population(config, total, lam, rounds=1)
-    res_stats = _mechanism_stats(reserve)
-    sira_stats = _mechanism_stats(sira)
+    reserve = reserve_decision_arrays(total - lam * total, p_eps, config.model)
+    sira = _sira_decisions(config, total, lam)
+    res_stats = _mechanism_stats(reserve.participates, reserve.bid)
+    sira_stats = _mechanism_stats(sira.participates, sira.bid)
     paired = sira.participates.astype(float) - reserve.participates.astype(float)
     bid_uplift = sira_stats[2] - res_stats[2]
     bid_uplift_se = float(np.hypot(sira_stats[3], res_stats[3]))

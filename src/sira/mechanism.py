@@ -300,16 +300,27 @@ def _reserve_from_population(
     )
 
 
+def _sira_decisions(
+    config: AuctionConfig, total: np.ndarray, lam: np.ndarray
+) -> DecisionArrays:
+    """The SIRA strategy over a population, with every participant accepted.
+
+    The equilibrium bid never falls below the clearing price, and the cap
+    at 1 lies above it, so a participant bidding below the price is a
+    numerical failure.
+    """
+    decision = sira_decision_arrays(total, lam, config.p_eps, config.family, config.model)
+    if np.any(decision.participates & (decision.bid < config.p_eps)):
+        raise NumericalError("a participant's bid fell below the clearing price")
+    return decision
+
+
 def _sira_from_population(
     config: AuctionConfig, total: np.ndarray, lam: np.ndarray, rounds: int
 ) -> AuctionReport:
     n = total.size
-    decision = sira_decision_arrays(total, lam, config.p_eps, config.family, config.model)
-    # Every participant is accepted: the equilibrium bid never falls below
-    # the clearing price, and the cap at 1 lies above it.
+    decision = _sira_decisions(config, total, lam)
     accepted = decision.participates
-    if np.any(accepted & (decision.bid < config.p_eps)):
-        raise NumericalError("a participant's bid fell below the clearing price")
     premium = lam * total
     deployment = total - premium
 
