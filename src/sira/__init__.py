@@ -38,9 +38,7 @@ from .strategy import (
     equilibrium_utility,
     reserve_threshold_bid,
     sira_bid,
-    sira_bid_beta,
     sira_bid_generic,
-    sira_bid_uniform,
 )
 from .mechanism import (
     AuctionConfig,
@@ -93,8 +91,6 @@ __all__ = [
     "P_EPS_MAX",
     "BidDecision",
     "cap_bid",
-    "sira_bid_uniform",
-    "sira_bid_beta",
     "sira_bid",
     "sira_bid_generic",
     "equilibrium_utility",

@@ -354,9 +354,9 @@ def closed_form_vs_quadrature(
 ) -> BidCrosscheck:
     """Evaluate both bid routes over a grid and report the worst gap.
 
-    The closed form is the simplified piecewise expression; the other
-    route integrates the premium cdf numerically inside the defining
-    formula. Rows index p_eps, columns index v_p.
+    The closed form composes the defining formula from the closed forms
+    of the premium cdf and its running integral; the other route
+    integrates the cdf numerically. Rows index p_eps, columns index v_p.
     """
     v_grid = np.asarray(v_p_grid, dtype=float)
     p_grid = np.asarray(p_eps_grid, dtype=float)

@@ -11,10 +11,11 @@ value v_p is
     b_hat = p_eps + v_p * F_v(v_p) - integral_0^{v_p} F_v(z) dz
 
 where F_v is the premium-value distribution of participants. Submitted
-bids are capped at 1, the maximum meaningful payment. Closed forms of
-b_hat for the Uniform and Beta(2, 2) families are implemented as their
-simplified piecewise expressions; a generic route composes the defining
-formula with numerical quadrature and should agree to high accuracy.
+bids are capped at 1, the maximum meaningful payment. The bid is composed
+once, for every family, from the closed forms of F_v and its running
+integral in PremiumValueDistribution; a generic route evaluates the same
+formula with the integral taken by numerical quadrature and should agree
+to high accuracy.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL, adaptive_simpson
+from .quadrature import adaptive_simpson
 from .value_model import (
     PREMIUM_MAX,
     PremiumValueDistribution,
     SafetyCostModel,
     AgentValuation,
     ValueFamily,
-    _beta_mass,
 )
 
 P_EPS_MIN = 1e-6
@@ -72,80 +72,27 @@ def cap_bid(raw_bid):
     return float(out) if np.isscalar(raw_bid) else out
 
 
-def _check_premium(v_p) -> np.ndarray:
-    arr = np.asarray(v_p, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > PREMIUM_MAX):
-        raise DomainError(f"premium value outside [0, {PREMIUM_MAX}]")
-    return arr
-
-
-def sira_bid_uniform(v_p, p_eps):
-    """Uncapped equilibrium bid under the Uniform total-value family."""
-    check_p_eps(p_eps)
-    v = _check_premium(v_p)
-    p = float(p_eps)
-    out = np.piecewise(
-        np.atleast_1d(v),
-        [np.atleast_1d(v) <= p / 2.0],
-        [
-            lambda t: p + t**2 * np.log(p) / (p - 1.0),
-            lambda t: p
-            + (8.0 * t**2 * (np.log(2.0 * t) - 0.5) + p**2) / (8.0 * (p - 1.0)),
-        ],
-    )
-    return float(out[0]) if np.isscalar(v_p) else out
-
-
-def sira_bid_beta(v_p, p_eps):
-    """Uncapped equilibrium bid under the Beta(2, 2) total-value family."""
-    check_p_eps(p_eps)
-    v = _check_premium(v_p)
-    p = float(p_eps)
-    mass = _beta_mass(p)
-    out = np.piecewise(
-        np.atleast_1d(v),
-        [np.atleast_1d(v) <= p / 2.0],
-        [
-            lambda t: p + 3.0 * t**2 * (p**2 - 2.0 * p + 1.0) / mass,
-            lambda t: p
-            + (8.0 * t**2 * (6.0 * t**2 - 8.0 * t + 3.0) + p**3 * (3.0 * p - 4.0))
-            / (8.0 * mass),
-        ],
-    )
-    return float(out[0]) if np.isscalar(v_p) else out
-
-
-_CLOSED_FORM_BIDS = {
-    ValueFamily.UNIFORM: sira_bid_uniform,
-    ValueFamily.BETA22: sira_bid_beta,
-}
+def _bid_and_cdf(family: ValueFamily, v_p, p_eps):
+    """Uncapped equilibrium bid at v_p and the premium cdf F_v(v_p) it used."""
+    p_eps = check_p_eps(p_eps)
+    dist = PremiumValueDistribution(family=family, p_eps=p_eps)
+    cdf = dist.cdf(v_p)
+    return p_eps + v_p * cdf - dist.cdf_integral(v_p), cdf
 
 
 def sira_bid(family: ValueFamily, v_p, p_eps):
-    """Dispatch the closed-form uncapped equilibrium bid by family."""
-    try:
-        fn = _CLOSED_FORM_BIDS[family]
-    except KeyError:
-        raise DomainError(f"unknown value family: {family!r}") from None
-    return fn(v_p, p_eps)
+    """Uncapped equilibrium bid p_eps + v_p F_v(v_p) - integral_0^{v_p} F_v."""
+    return _bid_and_cdf(family, v_p, p_eps)[0]
 
 
 def sira_bid_generic(
-    premium_cdf: Callable[[float], float],
-    v_p: float,
-    p_eps: float,
-    *,
-    cdf_integral: Callable[[float], float] | None = None,
-    breakpoints: tuple[float, ...] | None = None,
-    tol: float = DEFAULT_TOL,
-    max_depth: int = DEFAULT_MAX_DEPTH,
+    premium_cdf: Callable[[float], float], v_p: float, p_eps: float
 ) -> float:
     """Equilibrium bid from an arbitrary premium-value cdf.
 
-    Evaluates the defining formula directly: the running integral of the
-    cdf is either supplied in closed form or computed with adaptive
-    Simpson quadrature, splitting panels at the distribution breakpoint
-    p_eps / 2 (or caller-supplied breakpoints).
+    Evaluates the defining formula with the running integral of the cdf
+    computed by adaptive Simpson quadrature, splitting panels at the
+    distribution breakpoint p_eps / 2.
     """
     check_p_eps(p_eps)
     v = float(v_p)
@@ -153,18 +100,9 @@ def sira_bid_generic(
         raise DomainError(f"premium value outside [0, {PREMIUM_MAX}]")
     if v == 0.0:
         return float(p_eps)
-    if cdf_integral is not None:
-        integral = float(cdf_integral(v))
-    else:
-        pts = (p_eps / 2.0,) if breakpoints is None else tuple(breakpoints)
-        integral = adaptive_simpson(
-            lambda t: float(premium_cdf(t)),
-            0.0,
-            v,
-            tol=tol,
-            max_depth=max_depth,
-            breakpoints=pts,
-        )
+    integral = adaptive_simpson(
+        lambda t: float(premium_cdf(t)), 0.0, v, breakpoints=(p_eps / 2.0,)
+    )
     return p_eps + v * float(premium_cdf(v)) - integral
 
 
@@ -255,9 +193,8 @@ def sira_decision_arrays(
     lam = np.asarray(scaling_factor, dtype=float)
     v_p = lam * total
     v_d = total - v_p
-    raw = sira_bid(family, v_p, p_eps)
+    raw, cdf_vals = _bid_and_cdf(family, v_p, p_eps)
     bid = cap_bid(raw)
-    cdf_vals = PremiumValueDistribution(family=family, p_eps=p_eps).cdf(v_p)
     utility = predicted_utilities(v_d, v_p, bid, cdf_vals)
     participates = utility > 0.0
     safety = np.where(participates, model.safety_from_bid(bid), 0.0)

@@ -28,8 +28,7 @@ from .errors import DomainError, NumericalError
 
 PREMIUM_MAX = 0.5
 _CLAMP_TOL = 1e-14
-_PPF_TOL = 1e-12
-_PPF_MAX_ITER = 120
+_HALF_SQRT3 = 0.5 * math.sqrt(3.0)
 
 
 class ValueFamily(Enum):
@@ -100,47 +99,25 @@ def beta22_cdf(x):
 
 
 def beta22_ppf(q):
-    """Inverse of the Beta(2, 2) distribution function.
+    """Inverse of the Beta(2, 2) distribution function, in closed form.
 
-    Solves 3 x^2 - 2 x^3 = q with a bracketed Newton iteration
-    (bisection fallback keeps the iterate inside [0, 1]); accepts the
-    root once the residual is below 1e-12. Consumes no randomness, so
-    inverse-transform sampling draws exactly one uniform per sample.
+    The root of 3 x^2 - 2 x^3 = s on [0, 1/2] is
+    h = sin^2(phi / 2) + (sqrt(3) / 2) sin(phi) with
+    phi = (2 / 3) asin(sqrt(s)), a sum of two non-negative terms, so it
+    keeps full relative accuracy as s -> 0. Quantiles above the median
+    use the symmetry x(q) = 1 - h(1 - q), where 1 - q is exact. Consumes
+    no randomness, so inverse-transform sampling draws exactly one
+    uniform per sample.
     """
     scalar = np.isscalar(q)
-    q_arr = np.atleast_1d(np.asarray(q, dtype=float))
+    q_arr = np.asarray(q, dtype=float)
     if np.any(q_arr < 0.0) or np.any(q_arr > 1.0):
         raise DomainError("quantile outside [0, 1]")
-    q_flat = q_arr.reshape(-1)
-    x = np.full(q_flat.shape, 0.5)
-    lo = np.zeros(q_flat.shape)
-    hi = np.ones(q_flat.shape)
-    # Iterate only on the entries that have not converged yet; the
-    # active set shrinks fast once Newton enters its quadratic phase.
-    active = np.arange(q_flat.size)
-    for _ in range(_PPF_MAX_ITER):
-        xa = x[active]
-        resid = beta22_cdf(xa) - q_flat[active]
-        pending = np.abs(resid) >= _PPF_TOL
-        active = active[pending]
-        if active.size == 0:
-            break
-        xa = xa[pending]
-        resid = resid[pending]
-        lo_a = np.where(resid < 0.0, xa, lo[active])
-        hi_a = np.where(resid > 0.0, xa, hi[active])
-        lo[active] = lo_a
-        hi[active] = hi_a
-        deriv = beta22_pdf(xa)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = xa - resid / deriv
-        mid = 0.5 * (lo_a + hi_a)
-        keep = np.isfinite(nxt) & (nxt > lo_a) & (nxt < hi_a)
-        x[active] = np.where(keep, nxt, mid)
-    x = np.where(q_flat == 0.0, 0.0, np.where(q_flat == 1.0, 1.0, x)).reshape(q_arr.shape)
-    if np.any(np.abs(beta22_cdf(x) - q_arr) >= _PPF_TOL):
-        raise NumericalError("Beta(2, 2) inverse failed to reach residual 1e-12")
-    return float(x[0]) if scalar else x
+    upper = q_arr > 0.5
+    phi = (2.0 / 3.0) * np.arcsin(np.sqrt(np.where(upper, 1.0 - q_arr, q_arr)))
+    h = np.sin(0.5 * phi) ** 2 + _HALF_SQRT3 * np.sin(phi)
+    x = np.where(upper, 1.0 - h, h)
+    return float(x) if scalar else x
 
 
 def total_value_cdf(family: ValueFamily, x):
@@ -232,8 +209,14 @@ def sample_valuations(
 # ---------------------------------------------------------------------------
 # Premium-value distribution: branch functions per family
 
-# Uniform family, V | V >= p on [p, 1], lambda uniform on [0, 1/2].
-# Branch "lo" covers y <= p/2, branch "hi" covers p/2 < y <= 1/2.
+# Branch "lo" covers y <= p/2, branch "hi" covers p/2 < y <= 1/2. Each hi
+# branch is written as 1 - tail / mass (cdf) or as y - E[v_p] plus the
+# integrated tail (running integral), with tail and mass computed without
+# subtracting nearly equal numbers, so the cdf stays accurate to about
+# one ulp up to p = 1 - 1e-6, where the Beta(2, 2) truncation mass is ~3e-12.
+
+# Uniform family, V | V >= p on [p, 1], lambda uniform on [0, 1/2];
+# the hi branches use u = 2y.
 
 
 def _unif_pdf_lo(y, p):
@@ -249,7 +232,8 @@ def _unif_cdf_lo(y, p):
 
 
 def _unif_cdf_hi(y, p):
-    return (2.0 * y * (np.log(2.0 * y) - 1.0) + p) / (p - 1.0)
+    u = 2.0 * y
+    return 1.0 - (u * np.log(u) + (1.0 - u)) / (1.0 - p)
 
 
 def _unif_int_lo(y, p):
@@ -257,42 +241,46 @@ def _unif_int_lo(y, p):
 
 
 def _unif_int_hi(y, p):
-    return (4.0 * y**2 * (2.0 * np.log(2.0 * y) - 3.0) + 8.0 * y * p - p**2) / (
-        8.0 * (p - 1.0)
-    )
+    u = 2.0 * y
+    w = 1.0 - u
+    tail = w * (0.75 * w - 0.5) - u * y * np.log(u)
+    return y - (1.0 + p) / 8.0 + tail / (2.0 * (1.0 - p))
 
 
-# Beta(2, 2) family. D = 1 - F_beta(p) is the truncation mass and
-# k = (1 - p)^2 appears in every low branch.
+# Beta(2, 2) family. The truncation mass is D = (1 - p)^2 (1 + 2p) and
+# the hi branches use t = 1 - 2y.
 
 
 def _beta_mass(p: float) -> float:
-    return 1.0 - (3.0 * p**2 - 2.0 * p**3)
+    return (1.0 - p) ** 2 * (1.0 + 2.0 * p)
 
 
 def _beta_pdf_lo(y, p):
-    return np.full_like(y, 6.0 * (p**2 - 2.0 * p + 1.0) / _beta_mass(p))
+    return np.full_like(y, 6.0 / (1.0 + 2.0 * p))
 
 
 def _beta_pdf_hi(y, p):
-    return 6.0 * (4.0 * y**2 - 4.0 * y + 1.0) / _beta_mass(p)
+    t = 1.0 - 2.0 * y
+    return 6.0 * t * t / _beta_mass(p)
 
 
 def _beta_cdf_lo(y, p):
-    return 6.0 * y * (p**2 - 2.0 * p + 1.0) / _beta_mass(p)
+    return 6.0 * y / (1.0 + 2.0 * p)
 
 
 def _beta_cdf_hi(y, p):
-    return (2.0 * y * (4.0 * y**2 - 6.0 * y + 3.0) + p**2 * (2.0 * p - 3.0)) / _beta_mass(p)
+    t = 1.0 - 2.0 * y
+    return 1.0 - t * t * t / _beta_mass(p)
 
 
 def _beta_int_lo(y, p):
-    return 3.0 * y**2 * (p**2 - 2.0 * p + 1.0) / _beta_mass(p)
+    return 3.0 * y**2 / (1.0 + 2.0 * p)
 
 
 def _beta_int_hi(y, p):
-    inner = 2.0 * y**3 - 4.0 * y**2 + 3.0 * y + p**2 * (2.0 * p - 3.0)
-    return (8.0 * y * inner + p**3 * (4.0 - 3.0 * p)) / (8.0 * _beta_mass(p))
+    t = 1.0 - 2.0 * y
+    offset = (6.0 * p**2 - (1.0 - p) ** 2) / (8.0 * (1.0 + 2.0 * p))
+    return y - p / 2.0 + offset + t**4 / (8.0 * _beta_mass(p))
 
 
 _BranchPair = tuple[Callable[..., np.ndarray], Callable[..., np.ndarray]]
@@ -388,13 +376,13 @@ class PremiumValueDistribution:
             if y <= self.breakpoint:
                 val = 2.0 * y * math.log(p) / (p - 1.0)
             else:
-                val = (2.0 * y * (math.log(2.0 * y) - 1.0) + p) / (p - 1.0)
+                u = 2.0 * y
+                val = 1.0 - (u * math.log(u) + (1.0 - u)) / (1.0 - p)
+        elif y <= self.breakpoint:
+            val = 6.0 * y / (1.0 + 2.0 * p)
         else:
-            mass = _beta_mass(p)
-            if y <= self.breakpoint:
-                val = 6.0 * y * (p**2 - 2.0 * p + 1.0) / mass
-            else:
-                val = (2.0 * y * (4.0 * y**2 - 6.0 * y + 3.0) + p**2 * (2.0 * p - 3.0)) / mass
+            t = 1.0 - 2.0 * y
+            val = 1.0 - t * t * t / _beta_mass(p)
         if val < 0.0 or val > 1.0:
             if val < -_CLAMP_TOL or val > 1.0 + _CLAMP_TOL:
                 raise NumericalError("premium cdf outside [0, 1] beyond round-off")

@@ -61,19 +61,19 @@ RUNS = {
 
 DIGESTS = {
     "auction-beta22-perfect.csv":
-        "cbe89ccd75daf43f2601de2d178aab8088edfa73111d5d7cf58fdd1f6783b0ab",
+        "15d1b3abcc0b212dd6dbdd70c5fcec67a4ef2892e7abfdcf837f79bf98e167a1",
     "auction-beta22-perfect.json":
-        "b721ebc3f98c919e819976400234e6e43dd8479fb03442f46a14f73d25be4b53",
+        "de5a00659d9326ba60f45b8b4c4d0e502aafd6003ea73a077e50835042010425",
     "auction-uniform-blocks.csv":
         "084e9a89e366525dc8415d6f915425329835bc7074f59878b8a6986cdcffcc87",
     "auction-uniform-independent.csv":
         "11c4eb31a357dccc20fd494c95054be8b46afabb84cea8de59c92380f93f1116",
     "auction-uniform-independent.json":
-        "a9042b5da1d8874db72cfbc11c0debffe7fdf0613cfb842d5f67166a759a3226",
+        "a06a6f973521cc97cf944a9c868b7b18cb8e3458a10c3663a1f2dcb9f1b11a7d",
     "crosscheck-uniform.csv":
-        "6b483f868c58abacb474f53884b435f0689be512f7657060698ae4854448a7f4",
+        "1d2bdaa1e8438a52f9ff5b50444e0fd320d2e8458f436d65d77c84ca8fd553c4",
     "crosscheck-uniform.json":
-        "56acf798cd5258b6311c1016e440282fd400878db4d1d43fc036e5feec147d37",
+        "b0b8ea0c7eec26b21167dd1877bae4e9b442ee10399b6a8826a1dab0ed366a1b",
     "deviation-beta22.csv":
         "0b216d8f917eab01802535d5d2a6bebba579f145187233499407e6b539845b8e",
     "deviation-beta22.json":
@@ -81,23 +81,23 @@ DIGESTS = {
     "repeat-uniform-perfect.csv":
         "6c8ea352d98e9fe467d5fa7c791489046741101d9e3ebea27de62e13acfcb61f",
     "repeat-uniform-perfect.json":
-        "72045ee12a769f806aa1fae5b1c84d39a3a3b824b5f3be91331607c0f714126e",
+        "f10cf63996062b337c69aa3499bda5df15bd2dd6a240720e874184d15f1d03c1",
     "reserve-beta22.csv":
         "46e8f6033d4bfa2afd80c59bf120c414e8150d2834413786e0f0cb99d22dfd2b",
     "reserve-beta22.json":
-        "c1104d6fd36d7379a6a7efbcc2ade2ccb40a7f824a6e3c83434d06a7ceba42d5",
+        "d588985f9af058381854962bd63abfb688094fe5f21dbd44ac9e3067b6921554",
     "sweep-beta22-sparse.csv":
         "294b481267604a987dda7d5ca8493c352ed3f94759f7c57d69873d06f1ce40d4",
     "sweep-beta22-sparse.json":
-        "3d5d6649c8fc850a398fc465bf9444b5cf2943562c1f8367038eb682ef348991",
+        "d209325b4abcaab5e29645d05e4ac3769288b3d044a82427f0e4b28b21fa2367",
     "sweep-uniform.csv":
         "63d62c9bdda2442512f567061e8b323b5eeb90fefb7ec7a24f5d342bf19a7d93",
     "sweep-uniform.json":
-        "28ca2799e1ae92a5ce061721e739b1849dedf8d8712c4a15279fd40797d7872a",
+        "d6e4ff03fca51c455f337da865869d86451509d0f8ecd82dd4e19e208ee8fce6",
     "validate-dist-beta22.csv":
         "38822e00c4b942134bd477fc7d9be5e26af447e9ee4159afceef07833489a7e6",
     "validate-dist-beta22.json":
-        "454533c29146c57e19faabada0a3ce6d09b9b5135cbe163bf2dc025431bb96ac",
+        "878bc0417a47384e4b67bd81fc7c368cc60ac592947741e04029e3e4397992d4",
 }
 
 

@@ -274,6 +274,41 @@ def test_crosscheck_csv_columns(tmp_path):
     assert all(r[0] == "beta22" for r in rows)
 
 
+@pytest.mark.parametrize("family", ["uniform", "beta22"])
+@pytest.mark.parametrize("p_eps", ["0.999", "0.9995", "0.99999", "0.999999"])
+def test_edge_window_clearing_prices_run_to_success(family, p_eps, tmp_path):
+    # Near p_eps = 1 the truncation mass of Beta(2, 2) falls to ~3e-12, and
+    # the upper branch of the premium distribution is [p_eps / 2, 1/2].
+    dist_out = tmp_path / "v.json"
+    code = _run(
+        [
+            "validate-dist",
+            "--family", family,
+            "--p-eps", p_eps,
+            "--n-samples", "20000",
+            "--bins", "20",
+            "--seed", "3",
+            "--format", "json",
+            "--out", str(dist_out),
+        ]
+    )
+    assert code == cli.EXIT_OK
+    assert json.loads(dist_out.read_text(encoding="utf-8"))["results"]["ks_distance"] < 0.02
+    check_out = tmp_path / "x.json"
+    code = _run(
+        [
+            "crosscheck",
+            "--family", family,
+            "--v-p-grid", "0,0.2,0.4999,0.4999996,0.4999999,0.5",
+            "--p-eps-list", p_eps,
+            "--format", "json",
+            "--out", str(check_out),
+        ]
+    )
+    assert code == cli.EXIT_OK
+    assert json.loads(check_out.read_text(encoding="utf-8"))["results"]["max_abs_diff"] <= 1e-12
+
+
 def test_repeat_json_round_trip(tmp_path):
     out = tmp_path / "r.json"
     code = _run(

@@ -16,9 +16,7 @@ from sira.strategy import (
     reserve_decision_arrays,
     reserve_threshold_bid,
     sira_bid,
-    sira_bid_beta,
     sira_bid_generic,
-    sira_bid_uniform,
     sira_decision_arrays,
     submitted_bid,
 )
@@ -31,34 +29,36 @@ from sira.value_model import (
 )
 
 P_GRID = [0.1, 0.25, 0.5, 0.75, 0.9]
+UNIFORM = ValueFamily.UNIFORM
+BETA22 = ValueFamily.BETA22
 
 
 # ---------------------------------------------------------------------------
-# Closed-form bids
+# Equilibrium bids
 
 
 def test_uniform_bid_low_branch_frozen():
     # b*(0.2; 0.5) = 0.5 + 0.04 ln(0.5) / (0.5 - 1) = 0.5 + 0.08 ln 2.
     expected = 0.5 + 0.08 * math.log(2.0)
-    assert sira_bid_uniform(0.2, 0.5) == pytest.approx(expected, abs=1e-15)
-    assert sira_bid_uniform(0.2, 0.5) == pytest.approx(0.5554518, abs=1e-7)
+    assert sira_bid(UNIFORM, 0.2, 0.5) == pytest.approx(expected, abs=1e-15)
+    assert sira_bid(UNIFORM, 0.2, 0.5) == pytest.approx(0.5554518, abs=1e-7)
 
 
 def test_uniform_bid_high_branch_frozen():
     # b*(0.4; 0.5) from the upper branch of the closed form.
     expected = 0.5 + (8.0 * 0.16 * (math.log(0.8) - 0.5) + 0.25) / (8.0 * (0.5 - 1.0))
-    assert sira_bid_uniform(0.4, 0.5) == pytest.approx(expected, abs=1e-15)
-    assert sira_bid_uniform(0.4, 0.5) == pytest.approx(0.668906, abs=1e-6)
+    assert sira_bid(UNIFORM, 0.4, 0.5) == pytest.approx(expected, abs=1e-15)
+    assert sira_bid(UNIFORM, 0.4, 0.5) == pytest.approx(0.668906, abs=1e-6)
 
 
 def test_uniform_bid_branches_agree_at_breakpoint():
     expected = 0.5 + 0.125 * math.log(2.0)
-    assert sira_bid_uniform(0.25, 0.5) == pytest.approx(expected, abs=1e-15)
+    assert sira_bid(UNIFORM, 0.25, 0.5) == pytest.approx(expected, abs=1e-15)
 
 
 def test_beta_bid_frozen_values():
-    assert sira_bid_beta(0.2, 0.5) == pytest.approx(0.56, abs=1e-15)
-    assert sira_bid_beta(0.4, 0.5) == pytest.approx(0.665075, abs=1e-12)
+    assert sira_bid(BETA22, 0.2, 0.5) == pytest.approx(0.56, abs=1e-15)
+    assert sira_bid(BETA22, 0.4, 0.5) == pytest.approx(0.665075, abs=1e-12)
 
 
 @pytest.mark.parametrize("family", list(ValueFamily))
@@ -87,23 +87,17 @@ def test_bid_continuous_at_breakpoint(family):
 
 def test_bid_rejects_out_of_range_inputs():
     with pytest.raises(DomainError):
-        sira_bid_uniform(0.6, 0.5)
+        sira_bid(UNIFORM, 0.6, 0.5)
     with pytest.raises(DomainError):
-        sira_bid_uniform(-0.01, 0.5)
+        sira_bid(UNIFORM, -0.01, 0.5)
     with pytest.raises(DomainError):
-        sira_bid_uniform(0.2, 1e-9)
+        sira_bid(UNIFORM, 0.2, 1e-9)
     with pytest.raises(DomainError):
-        sira_bid_beta(0.2, 1.0)
+        sira_bid(BETA22, 0.2, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # Generic (quadrature) bid
-
-
-def test_generic_bid_with_closed_form_integral_matches():
-    dist = PremiumValueDistribution(ValueFamily.UNIFORM, 0.5)
-    got = sira_bid_generic(dist.cdf_scalar, 0.2, 0.5, cdf_integral=dist.cdf_integral)
-    assert got == pytest.approx(sira_bid_uniform(0.2, 0.5), abs=1e-13)
 
 
 @pytest.mark.parametrize("family", list(ValueFamily))
@@ -137,7 +131,7 @@ def test_cap_bid():
 
 def test_equilibrium_utility_frozen_example():
     dist = PremiumValueDistribution(ValueFamily.UNIFORM, 0.5)
-    bid = sira_bid_uniform(0.2, 0.5)
+    bid = sira_bid(UNIFORM, 0.2, 0.5)
     got = equilibrium_utility(0.2, 0.2, bid, dist.cdf_scalar)
     expected = -0.3 + 0.08 * math.log(2.0)
     assert got == pytest.approx(expected, abs=1e-15)
