@@ -20,14 +20,11 @@ from .value_model import (
     SafetyCostModel,
     ValueFamily,
     beta22_cdf,
-    beta22_pdf,
     beta22_ppf,
     empirical_pdf_cdf,
-    sample_agent_valuation,
     sample_scaling_factors,
     sample_total_values,
     sample_valuations,
-    total_value_cdf,
 )
 from .strategy import (
     BidDecision,
@@ -35,7 +32,6 @@ from .strategy import (
     P_EPS_MIN,
     cap_bid,
     decide,
-    equilibrium_utility,
     reserve_threshold_bid,
     sira_bid,
     sira_bid_generic,
@@ -44,8 +40,6 @@ from .mechanism import (
     AuctionConfig,
     AuctionReport,
     PairingMode,
-    compare_pair,
-    realize_utility,
     run_repeated_sira,
     run_reserve_threshold,
     run_sira,
@@ -78,13 +72,10 @@ __all__ = [
     "AgentValuation",
     "PremiumValueDistribution",
     "EmpiricalDistribution",
-    "beta22_pdf",
     "beta22_cdf",
     "beta22_ppf",
-    "total_value_cdf",
     "sample_total_values",
     "sample_scaling_factors",
-    "sample_agent_valuation",
     "sample_valuations",
     "empirical_pdf_cdf",
     "P_EPS_MIN",
@@ -93,14 +84,11 @@ __all__ = [
     "cap_bid",
     "sira_bid",
     "sira_bid_generic",
-    "equilibrium_utility",
     "reserve_threshold_bid",
     "decide",
     "PairingMode",
     "AuctionConfig",
     "AuctionReport",
-    "compare_pair",
-    "realize_utility",
     "run_reserve_threshold",
     "run_sira",
     "run_repeated_sira",

@@ -37,6 +37,7 @@ from .value_model import (
     empirical_pdf_cdf,
     sample_scaling_factors,
     sample_total_values,
+    sample_valuations,
 )
 
 _EXP_DEVIATION = 0
@@ -296,8 +297,7 @@ def validate_product_distribution(
     if n_samples < 2:
         raise DomainError(f"n_samples must be at least 2, got {n_samples}")
     rng = substream(seed, STREAM_EXPERIMENT, _EXP_VALIDATE, 0)
-    totals = sample_total_values(family, rng, n_samples, lower=p_eps)
-    lams = sample_scaling_factors(rng, n_samples)
+    totals, lams = sample_valuations(family, rng, n_samples, lower=p_eps)
     products = lams * totals
 
     table = empirical_pdf_cdf(products, bins)

@@ -35,7 +35,6 @@ from .seeding import (
 from .strategy import (
     DecisionArrays,
     check_p_eps,
-    realized_utilities,
     reserve_decision_arrays,
     sira_decision_arrays,
 )
@@ -87,7 +86,7 @@ class AuctionConfig:
 
 
 # ---------------------------------------------------------------------------
-# The contest rule and its scalar views
+# The contest rule
 
 
 def beats(bid, other, coins):
@@ -97,38 +96,6 @@ def beats(bid, other, coins):
     only when its two bids are equal.
     """
     return np.where(bid == other, coins, bid > other)
-
-
-def compare_pair(bid_i: float, bid_j: float, rng: np.random.Generator) -> bool:
-    """Return True when agent i beats agent j for the premium.
-
-    Draws one coin from rng, and only when the bids tie.
-    """
-    if bid_i < 0.0 or bid_j < 0.0:
-        raise DomainError("bids must be non-negative")
-    return bool(beats(bid_i, bid_j, bid_i == bid_j and rng.random() < 0.5))
-
-
-def realize_utility(
-    bid: float, accepted: bool, won_premium: bool, v_d: float, v_p: float
-) -> float:
-    """Scalar view of realized_utilities with its flags validated."""
-    if not (0.0 <= bid <= 1.0):
-        raise DomainError(f"bid outside [0, 1]: {bid}")
-    if won_premium and not accepted:
-        raise DomainError("inconsistent flags: premium won without acceptance")
-    return float(realized_utilities(v_d, v_p, bid, accepted, won_premium))
-
-
-def award_premiums_independent(
-    bids: np.ndarray, opponent_ranks: np.ndarray, coins: np.ndarray
-) -> np.ndarray:
-    """Resolve one comparison per accepted agent against a drawn opponent.
-
-    opponent_ranks[i] indexes another accepted agent (never i itself);
-    coins break exact ties. Returns the win flags.
-    """
-    return beats(bids, bids[opponent_ranks], coins)
 
 
 def _draw_opponent_ranks(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -145,7 +112,7 @@ def _award_round_independent(
         return np.zeros(m, dtype=bool)
     ranks = _draw_opponent_ranks(m, opp_rng)
     coins = tie_rng.random(m) < 0.5
-    return award_premiums_independent(bids, ranks, coins)
+    return beats(bids, bids[ranks], coins)
 
 
 def _award_round_perfect(
@@ -219,11 +186,6 @@ class AuctionReport:
     def won_premium(self) -> np.ndarray:
         """Whether each agent won the premium in at least one round."""
         return self.won_by_round.any(axis=0)
-
-    @property
-    def cumulative_utility_by_round(self) -> np.ndarray:
-        """Running utility after each round: value to date minus the sunk bid."""
-        return np.cumsum(self.value_by_round, axis=0) - self.bid_paid[None, :]
 
 
 def _aggregate(

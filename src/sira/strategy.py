@@ -130,14 +130,6 @@ def realized_utilities(v_d, v_p, bid, accepted, won):
     return np.where(accepted, v_d + v_p * won - bid, -bid)
 
 
-def equilibrium_utility(v_d: float, v_p: float, bid: float, premium_cdf) -> float:
-    """Scalar view of predicted_utilities; a capped bid never calls the cdf."""
-    if bid < 0.0:
-        raise DomainError("bid must be non-negative")
-    cdf_at_v_p = float(premium_cdf(v_p)) if bid < 1.0 else 1.0
-    return float(predicted_utilities(v_d, v_p, bid, cdf_at_v_p))
-
-
 class DecisionArrays(NamedTuple):
     """Vectorized strategy evaluation over a population."""
 

@@ -57,14 +57,6 @@ class SafetyCostModel:
         if not (self.gamma > 0.0) or not np.isfinite(self.gamma):
             raise DomainError(f"gamma must be a positive real, got {self.gamma}")
 
-    def cost(self, safety):
-        """Money required to operate at the given safety level."""
-        s = np.asarray(safety, dtype=float)
-        if np.any(s < 0.0) or np.any(s > 1.0):
-            raise DomainError("safety level outside [0, 1]")
-        out = s**self.gamma
-        return float(out) if np.isscalar(safety) else out
-
     def price_of_safety(self, epsilon):
         """Clearing price p_eps = M(epsilon) for a safety floor epsilon."""
         e = np.asarray(epsilon, dtype=float)
@@ -84,12 +76,6 @@ class SafetyCostModel:
 
 # ---------------------------------------------------------------------------
 # Total-value families
-
-
-def beta22_pdf(x):
-    """Density 6 x (1 - x) of Beta(2, 2)."""
-    x = np.asarray(x, dtype=float)
-    return 6.0 * x * (1.0 - x)
 
 
 def beta22_cdf(x):
@@ -120,23 +106,16 @@ def beta22_ppf(q):
     return float(x) if scalar else x
 
 
-def total_value_cdf(family: ValueFamily, x):
-    """Distribution function of the untruncated total value V."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise DomainError("total value outside [0, 1]")
-    if family is ValueFamily.UNIFORM:
-        return x.copy()
-    return beta22_cdf(x)
-
-
 def sample_total_values(
     family: ValueFamily, rng: np.random.Generator, size: int, lower: float = 0.0
 ) -> np.ndarray:
     """Draw total values from the family conditioned on [lower, 1].
 
     Inverse-transform sampling: one uniform is consumed per sample and
-    mapped through the truncated quantile function.
+    mapped through the truncated quantile function. A truncated Beta(2, 2)
+    draw is taken from the upper tail, 1 - ppf((1 - u) D) with the tail
+    mass D = 1 - cdf(lower) in closed form, because 1 - cdf(lower)
+    computed by subtraction cancels as lower approaches 1.
     """
     if not (0.0 <= lower < 1.0):
         raise DomainError(f"lower truncation point outside [0, 1): {lower}")
@@ -144,8 +123,13 @@ def sample_total_values(
     if family is ValueFamily.UNIFORM:
         return lower + u * (1.0 - lower)
     if family is ValueFamily.BETA22:
-        q_lo = float(beta22_cdf(lower))
-        return beta22_ppf(q_lo + u * (1.0 - q_lo))
+        if lower == 0.0:
+            return beta22_ppf(u)
+        # In place, so this path holds no more arrays than the lower == 0 one.
+        np.subtract(1.0, u, out=u)
+        u *= _beta_mass(lower)
+        x = beta22_ppf(u)
+        return np.subtract(1.0, x, out=x)
     raise DomainError(f"unknown value family: {family!r}")
 
 
@@ -182,15 +166,6 @@ class AgentValuation:
     @property
     def deployment_value(self) -> float:
         return self.total_value - self.premium_value
-
-
-def sample_agent_valuation(
-    family: ValueFamily, rng: np.random.Generator, lower: float = 0.0
-) -> AgentValuation:
-    """Draw one agent valuation; consumes one uniform for V, one for lambda."""
-    total = float(sample_total_values(family, rng, 1, lower)[0])
-    lam = float(sample_scaling_factors(rng, 1)[0])
-    return AgentValuation(total_value=total, scaling_factor=lam)
 
 
 def sample_valuations(
@@ -364,25 +339,15 @@ class PremiumValueDistribution:
     def cdf_scalar(self, y: float) -> float:
         """Plain-float evaluation of cdf, for quadrature inner loops.
 
-        Agrees with cdf to floating-point round-off while avoiding
-        array dispatch, which dominates the cost of adaptive
-        integration.
+        Calls the same branch function as cdf on a float, so the two
+        agree bit for bit, while avoiding the array dispatch that
+        dominates the cost of adaptive integration.
         """
         y = float(y)
         if not (0.0 <= y <= PREMIUM_MAX):
             raise DomainError(f"premium value outside [0, {PREMIUM_MAX}]")
-        p = self.p_eps
-        if self.family is ValueFamily.UNIFORM:
-            if y <= self.breakpoint:
-                val = 2.0 * y * math.log(p) / (p - 1.0)
-            else:
-                u = 2.0 * y
-                val = 1.0 - (u * math.log(u) + (1.0 - u)) / (1.0 - p)
-        elif y <= self.breakpoint:
-            val = 6.0 * y / (1.0 + 2.0 * p)
-        else:
-            t = 1.0 - 2.0 * y
-            val = 1.0 - t * t * t / _beta_mass(p)
+        fn_lo, fn_hi = PREMIUM_BRANCHES[self.family]["cdf"]
+        val = float((fn_lo if y <= self.breakpoint else fn_hi)(y, self.p_eps))
         if val < 0.0 or val > 1.0:
             if val < -_CLAMP_TOL or val > 1.0 + _CLAMP_TOL:
                 raise NumericalError("premium cdf outside [0, 1] beyond round-off")

@@ -12,7 +12,7 @@ from sira.experiments import (
     threshold_sweep,
     validate_product_distribution,
 )
-from sira.strategy import equilibrium_utility, sira_bid
+from sira.strategy import predicted_utilities, sira_bid
 from sira.value_model import (
     AgentValuation,
     PremiumValueDistribution,
@@ -52,9 +52,8 @@ def test_deviation_zero_matches_predicted_utility():
     i0 = int(np.flatnonzero(result.deltas == 0.0)[0])
     dist = PremiumValueDistribution(ValueFamily.UNIFORM, 0.5)
     bid = float(sira_bid(ValueFamily.UNIFORM, PROBE.premium_value, 0.5))
-    predicted = equilibrium_utility(
-        PROBE.deployment_value, PROBE.premium_value, bid, dist.cdf_scalar
-    )
+    v_p = PROBE.premium_value
+    predicted = float(predicted_utilities(PROBE.deployment_value, v_p, bid, dist.cdf(v_p)))
     assert abs(result.mean_utility[i0] - predicted) <= 3.0 * result.std_error[i0]
 
 

@@ -1,0 +1,26 @@
+"""The public namespace: `sira.__all__` names exactly what the package exports."""
+
+import sira
+
+DELETED = {
+    "beta22_pdf",
+    "total_value_cdf",
+    "sample_agent_valuation",
+    "equilibrium_utility",
+    "compare_pair",
+    "realize_utility",
+    "award_premiums_independent",
+}
+
+
+def test_all_resolves_without_duplicates():
+    for name in sira.__all__:
+        assert hasattr(sira, name), name
+    assert len(sira.__all__) == len(set(sira.__all__))
+
+
+def test_deleted_scalar_views_are_not_exported():
+    assert DELETED.isdisjoint(sira.__all__)
+    assert not any(hasattr(sira, name) for name in DELETED)
+    assert not hasattr(sira.SafetyCostModel, "cost")
+    assert not hasattr(sira.AuctionReport, "cumulative_utility_by_round")

@@ -8,27 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sira.mechanism as mechanism
-from sira.errors import ConfigError, DomainError, NumericalError
+from sira.errors import ConfigError, NumericalError
 from sira.mechanism import (
     RESERVE_THRESHOLD,
     SIRA,
     AuctionConfig,
     PairingMode,
+    _award_round_independent,
     _award_round_perfect,
     _draw_opponent_ranks,
     _reserve_from_population,
     _sira_from_population,
-    award_premiums_independent,
     beats,
-    compare_pair,
-    realize_utility,
     run_repeated_sira,
     run_reserve_threshold,
     run_sira,
 )
 from sira.seeding import substream
-from sira.strategy import decide
-from sira.value_model import AgentValuation, SafetyCostModel, ValueFamily
+from sira.strategy import decide, realized_utilities
+from sira.value_model import AgentValuation, ValueFamily
 
 # Brute-force Monte Carlo oracle for P((1 - lambda) V > 1/2), frozen from
 # an independent 10^7-draw simulation; the uniform case also has the
@@ -53,22 +51,16 @@ def _config(**overrides):
 
 
 def test_compare_pair_strict_order():
-    rng = substream(1, 0)
-    assert compare_pair(0.7, 0.6, rng) is True
-    assert compare_pair(0.6, 0.7, rng) is False
+    # A strict order decides the comparison whatever the coin says.
+    for coin in (False, True):
+        assert beats(0.7, 0.6, coin) and not beats(0.6, 0.7, coin)
 
 
 def test_compare_pair_tie_uses_fair_coin():
-    rng = substream(2, 0)
-    wins = sum(compare_pair(0.5, 0.5, rng) for _ in range(10_000))
-    assert 4800 < wins < 5200
-
-
-def test_compare_pair_draws_a_coin_only_on_a_tie():
-    rng, twin = substream(2, 1), substream(2, 1)
-    assert compare_pair(0.7, 0.6, rng) is True
-    assert compare_pair(0.5, 0.5, rng) == (twin.random() < 0.5)
-    assert rng.random() == twin.random()
+    # With every bid equal, each comparison of the engine is a coin flip.
+    bids = np.full(10_000, 0.5)
+    won = _award_round_independent(bids, substream(2, 0), substream(2, 1))
+    assert 4800 < int(won.sum()) < 5200
 
 
 def test_beats_matches_a_plain_loop_on_forced_ties():
@@ -85,38 +77,25 @@ def test_beats_matches_a_plain_loop_on_forced_ties():
     np.testing.assert_array_equal(beats(bids, other, coins), expected)
 
 
-def test_compare_pair_rejects_negative_bids():
-    rng = substream(3, 0)
-    with pytest.raises(DomainError):
-        compare_pair(-0.1, 0.5, rng)
-
-
 def test_realize_utility_branches():
     # Not accepted: the sunk bid is lost outright.
-    assert realize_utility(0.4, False, False, 0.6, 0.2) == -0.4
+    assert realized_utilities(0.6, 0.2, 0.4, False, False) == -0.4
     # Accepted, premium lost.
-    assert realize_utility(0.6, True, False, 0.7, 0.1) == pytest.approx(0.1, abs=1e-15)
+    assert realized_utilities(0.7, 0.1, 0.6, True, False) == pytest.approx(0.1, abs=1e-15)
     # Accepted, premium won.
-    assert realize_utility(0.6, True, True, 0.7, 0.1) == pytest.approx(0.2, abs=1e-15)
+    assert realized_utilities(0.7, 0.1, 0.6, True, True) == pytest.approx(0.2, abs=1e-15)
 
 
 def test_realize_utility_rejected_zero_bid_is_negative_zero():
     # The sunk bid is negated, so a zero stake keeps its sign: CSV writes -0.
-    assert math.copysign(1.0, realize_utility(0.0, False, False, 0.6, 0.2)) == -1.0
-
-
-def test_realize_utility_rejects_inconsistent_flags():
-    with pytest.raises(DomainError):
-        realize_utility(0.5, False, True, 0.6, 0.2)
-    with pytest.raises(DomainError):
-        realize_utility(1.5, True, False, 0.6, 0.2)
+    assert math.copysign(1.0, realized_utilities(0.6, 0.2, 0.0, False, False)) == -1.0
 
 
 def test_award_premiums_independent_crafted():
     bids = np.array([0.9, 0.1, 0.5, 0.5])
     ranks = np.array([1, 0, 3, 2])
     coins = np.array([False, True, True, False])
-    won = award_premiums_independent(bids, ranks, coins)
+    won = beats(bids, bids[ranks], coins)
     # 0.9 beats 0.1; 0.1 loses to 0.9; the 0.5 tie is settled by coins.
     np.testing.assert_array_equal(won, [True, False, True, False])
 
@@ -390,14 +369,13 @@ def test_repeated_deployment_granted_once():
 def test_repeated_cumulative_utility_tracks_rounds():
     config = _config(n_agents=2000, rounds=4)
     report = run_repeated_sira(config)
-    cum = report.cumulative_utility_by_round
-    assert cum.shape == (4, 2000)
-    np.testing.assert_array_equal(cum[-1], report.realized_utility)
+    rows = report.value_by_round
+    assert rows.shape == (4, 2000)
+    # Value is granted, never taken back, so running utility never decreases.
+    assert np.all(rows >= 0.0)
     # Non-participants sink nothing and gain nothing.
-    idle = ~report.participates
-    assert np.all(cum[:, idle] == 0.0)
-    # Running utility never decreases once the bid is sunk.
-    assert np.all(np.diff(cum, axis=0) >= 0.0)
+    assert np.all(rows[:, ~report.participates] == 0.0)
+    np.testing.assert_array_equal(rows.sum(axis=0) - report.bid_paid, report.realized_utility)
 
 
 def test_repeated_rounds_use_distinct_pairing_streams():

@@ -11,7 +11,6 @@ from sira.strategy import (
     BidDecision,
     cap_bid,
     decide,
-    equilibrium_utility,
     predicted_utilities,
     reserve_decision_arrays,
     reserve_threshold_bid,
@@ -132,17 +131,23 @@ def test_cap_bid():
 def test_equilibrium_utility_frozen_example():
     dist = PremiumValueDistribution(ValueFamily.UNIFORM, 0.5)
     bid = sira_bid(UNIFORM, 0.2, 0.5)
-    got = equilibrium_utility(0.2, 0.2, bid, dist.cdf_scalar)
+    got = float(predicted_utilities(0.2, 0.2, bid, dist.cdf(0.2)))
     expected = -0.3 + 0.08 * math.log(2.0)
     assert got == pytest.approx(expected, abs=1e-15)
     assert got == pytest.approx(-0.244548, abs=1e-6)
 
 
 def test_equilibrium_utility_capped_bid_ignores_cdf():
-    # A capped bid wins with certainty, so the distribution function is
-    # never consulted (passing None proves it is not called).
-    assert equilibrium_utility(0.6, 0.4, 1.0, None) == pytest.approx(0.0, abs=1e-15)
-    assert equilibrium_utility(0.9, 0.3, 1.0, None) == pytest.approx(0.2, abs=1e-15)
+    # A capped bid wins with certainty, so the value of the distribution
+    # function is never used (passing nan proves it).
+    nan = float("nan")
+    assert predicted_utilities(0.6, 0.4, 1.0, nan) == pytest.approx(0.0, abs=1e-15)
+    assert predicted_utilities(0.9, 0.3, 1.0, nan) == pytest.approx(0.2, abs=1e-15)
+    np.testing.assert_allclose(
+        predicted_utilities(np.array([0.6, 0.5]), np.array([0.4, 0.2]), np.array([1.0, 0.3]),
+                            np.array([nan, 0.5])),
+        [0.0, 0.3], atol=1e-15,
+    )
 
 
 def test_predicted_utilities_match_scalar_view_on_both_branches():
@@ -155,15 +160,10 @@ def test_predicted_utilities_match_scalar_view_on_both_branches():
     dist = PremiumValueDistribution(family, p)
     got = predicted_utilities(v_d, v_p, bid, dist.cdf(v_p))
     expected = [
-        equilibrium_utility(d, v, b, dist.cdf)
+        d + v - 1.0 if b >= 1.0 else d + v * dist.cdf_scalar(v) - b
         for d, v, b in zip(v_d.tolist(), v_p.tolist(), bid.tolist())
     ]
     np.testing.assert_array_equal(got, expected)
-
-
-def test_equilibrium_utility_rejects_negative_bid():
-    with pytest.raises(DomainError):
-        equilibrium_utility(0.5, 0.2, -0.2, lambda y: y)
 
 
 # ---------------------------------------------------------------------------

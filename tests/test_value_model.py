@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sira.errors import DomainError, NumericalError
 from sira.seeding import substream
@@ -17,14 +19,11 @@ from sira.value_model import (
     ValueFamily,
     _clamped,
     beta22_cdf,
-    beta22_pdf,
     beta22_ppf,
     empirical_pdf_cdf,
-    sample_agent_valuation,
     sample_scaling_factors,
     sample_total_values,
     sample_valuations,
-    total_value_cdf,
 )
 
 P_GRID = [0.1, 0.25, 0.5, 0.75, 0.9]
@@ -48,15 +47,15 @@ class _QueuedRng:
 
 def test_cost_model_identity_gamma():
     model = SafetyCostModel()
-    assert model.cost(0.3) == 0.3
+    assert model.price_of_safety(0.3) == 0.3
     assert model.price_of_safety(0.25) == 0.25
     assert model.safety_from_bid(0.4) == 0.4
 
 
 def test_cost_model_quadratic_gamma():
     model = SafetyCostModel(gamma=2.0)
-    assert model.cost(0.5) == pytest.approx(0.25, abs=1e-15)
     assert model.price_of_safety(0.5) == pytest.approx(0.25, abs=1e-15)
+    np.testing.assert_allclose(model.price_of_safety(np.array([0.1, 0.5])), [0.01, 0.25])
     assert model.safety_from_bid(0.25) == pytest.approx(0.5, abs=1e-15)
 
 
@@ -75,9 +74,9 @@ def test_cost_model_rejects_bad_inputs():
         SafetyCostModel(gamma=-1.0)
     model = SafetyCostModel()
     with pytest.raises(DomainError):
-        model.cost(-0.1)
+        model.price_of_safety(0.0)
     with pytest.raises(DomainError):
-        model.cost(1.5)
+        model.price_of_safety(1.0)
     with pytest.raises(DomainError):
         model.safety_from_bid(1.2)
 
@@ -87,7 +86,9 @@ def test_cost_model_rejects_bad_inputs():
 
 
 def test_beta22_pdf_cdf_known_points():
-    assert beta22_pdf(0.5) == pytest.approx(1.5, abs=1e-15)
+    # The density 6 x (1 - x) is 3/2 at the median.
+    h = 1e-6
+    assert (beta22_cdf(0.5 + h) - beta22_cdf(0.5 - h)) / (2 * h) == pytest.approx(1.5, abs=1e-9)
     assert beta22_cdf(0.5) == pytest.approx(0.5, abs=1e-15)
     assert beta22_cdf(0.0) == 0.0
     assert beta22_cdf(1.0) == 1.0
@@ -113,16 +114,6 @@ def test_beta22_ppf_out_of_range_rejected():
         beta22_ppf(1.01)
 
 
-def test_total_value_cdf_families():
-    xs = np.array([0.0, 0.25, 0.5, 1.0])
-    np.testing.assert_allclose(total_value_cdf(ValueFamily.UNIFORM, xs), xs)
-    np.testing.assert_allclose(
-        total_value_cdf(ValueFamily.BETA22, xs), beta22_cdf(xs)
-    )
-    with pytest.raises(DomainError):
-        total_value_cdf(ValueFamily.UNIFORM, 1.2)
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 
@@ -130,7 +121,8 @@ def test_total_value_cdf_families():
 def test_sampling_worked_example():
     # One uniform 0.8 for V, one uniform 0.5 for lambda.
     rng = _QueuedRng([0.8], [0.5])
-    valuation = sample_agent_valuation(ValueFamily.UNIFORM, rng)
+    totals, lams = sample_valuations(ValueFamily.UNIFORM, rng, 1)
+    valuation = AgentValuation(total_value=float(totals[0]), scaling_factor=float(lams[0]))
     assert valuation.total_value == 0.8
     assert valuation.scaling_factor == 0.25
     assert valuation.premium_value == pytest.approx(0.2, abs=1e-15)
@@ -152,6 +144,19 @@ def test_truncated_beta_sampling_stays_in_range():
     q_lo = float(beta22_cdf(0.75))
     trunc_cdf = (beta22_cdf(np.median(values)) - q_lo) / (1.0 - q_lo)
     assert trunc_cdf == pytest.approx(0.5, abs=0.01)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(ValueFamily),
+    lower=st.floats(0.0, 1.0 - 1e-6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(family=ValueFamily.BETA22, lower=1.0 - 1e-6, seed=1)
+def test_truncated_draws_stay_on_their_support(family, lower, seed):
+    values = sample_total_values(family, np.random.default_rng(seed), 2**17, lower=lower)
+    assert values.min() >= lower
+    assert values.max() <= 1.0
 
 
 def test_scaling_factors_cover_half_interval():
@@ -301,10 +306,13 @@ def test_premium_distribution_rejects_bad_inputs():
 
 
 def test_cdf_scalar_matches_vector_path():
+    # Bit for bit: the quadrature integrand and cdf share one implementation.
+    ys = np.linspace(0.0, PREMIUM_MAX, 100_001)
     for family in ValueFamily:
-        dist = PremiumValueDistribution(family, 0.4)
-        for y in np.linspace(0.0, PREMIUM_MAX, 77):
-            assert dist.cdf_scalar(float(y)) == float(dist.cdf(y))
+        for p_eps in (1e-6, 0.1, 0.4, 0.9, 0.999, 1.0 - 1e-6):
+            dist = PremiumValueDistribution(family, p_eps)
+            got = np.array([dist.cdf_scalar(y) for y in ys.tolist()])
+            np.testing.assert_array_equal(got, dist.cdf(ys), err_msg=f"{family} {p_eps}")
 
 
 def test_premium_distribution_matches_simulated_products():
