@@ -9,12 +9,14 @@ against quadrature).
 Every output file is self-describing: it carries the tool version and
 the echoed run configuration, including the seed, and contains no
 timestamps, so rerunning the same specification writes byte-identical
-files. JSON writes undefined statistics (nan or infinite values) as
-null, and CSV writes them as nan. --workers never changes results; it
-only parallelizes sweep evaluation. Options may also be supplied
-through --config FILE (JSON object keyed by option name); explicit
-flags win over the file, which wins over defaults. Unknown config
-fields are rejected.
+files. JSON is compact (sorted keys, no whitespace) and long arrays are
+written in blocks, so the text held in memory stays bounded; pipe it
+through `python -m json.tool` to read it. JSON writes undefined
+statistics (nan or infinite values) as null, and CSV writes them as
+nan. --workers never changes results; it only parallelizes sweep
+evaluation. Options may also be supplied through --config FILE (JSON
+object keyed by option name); explicit flags win over the file, which
+wins over defaults. Unknown config fields are rejected.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical
 failure, 4 I/O failure.
@@ -359,7 +361,8 @@ def parse_run_spec(argv: list[str] | None = None) -> RunSpec:
 # ---------------------------------------------------------------------------
 # Output writer
 
-# CSV rows formatted and written at a time; bounds the text held in memory.
+# CSV rows or JSON array elements formatted and written at a time; bounds
+# the text held in memory.
 _BLOCK_ROWS = 1 << 16
 
 
@@ -381,6 +384,42 @@ def _json_default(value):
     raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
+def _compact(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                      default=_json_default)
+
+
+def _json_chunks(value):
+    """Compact JSON text of value, in pieces that hold at most one block of
+    any array.
+
+    The pieces join to exactly ``_compact(value)``. Dicts are walked key by
+    key, arrays of more than one dimension row by row, and a long 1-D array
+    in blocks of ``_BLOCK_ROWS`` elements; everything else is one
+    ``_compact`` call, which runs the C encoder.
+    """
+    if isinstance(value, dict):
+        yield "{"
+        for i, key in enumerate(sorted(value)):
+            yield ("," if i else "") + _compact(key) + ":"
+            yield from _json_chunks(value[key])
+        yield "}"
+    elif isinstance(value, np.ndarray) and value.ndim > 1:
+        yield "["
+        for i, row in enumerate(value):
+            if i:
+                yield ","
+            yield from _json_chunks(row)
+        yield "]"
+    elif isinstance(value, np.ndarray) and value.size > _BLOCK_ROWS:
+        yield "["
+        for start in range(0, value.size, _BLOCK_ROWS):
+            yield ("," if start else "") + _compact(value[start : start + _BLOCK_ROWS])[1:-1]
+        yield "]"
+    else:
+        yield _compact(value)
+
+
 def _emit(
     spec: RunSpec,
     summary: dict[str, Any],
@@ -396,8 +435,7 @@ def _emit(
                 "summary": summary,
                 "results": results,
             }
-            json.dump(payload, handle, sort_keys=True, indent=2, allow_nan=False,
-                      default=_json_default)
+            handle.writelines(_json_chunks(payload))
             handle.write("\n")
         else:
             echo = json.dumps(spec.config_echo, sort_keys=True, separators=(",", ":"))

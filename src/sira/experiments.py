@@ -10,6 +10,7 @@ significance check actually needs.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -230,8 +231,9 @@ def threshold_sweep(
     """Compare the two mechanisms across a grid of clearing prices.
 
     Grid points are independent (per-point seeds derived from the grid
-    index), so they may be evaluated by a thread pool; results are
-    assembled in grid order and do not depend on the worker count.
+    index), so they may be evaluated by a thread pool of
+    ``min(workers, grid points, CPUs)`` threads; results are assembled in
+    grid order and do not depend on the worker count.
     """
     grid = np.asarray(p_eps_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -246,6 +248,8 @@ def threshold_sweep(
     def evaluate(i: int) -> tuple[float, ...]:
         return _sweep_point(family, float(grid[i]), n_agents, point_seeds[i], gamma)
 
+    # pool.map submits every point at once, so bound the threads it starts.
+    workers = min(workers, grid.size, os.cpu_count() or 1)
     if workers == 1:
         rows = [evaluate(i) for i in range(grid.size)]
     else:

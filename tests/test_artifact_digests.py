@@ -7,7 +7,9 @@ digest here and says why in CHANGES.md. The set covers both value
 families, both pairing modes, CSV and JSON, a deviation grid with a
 rejected zero bid (written as -0), a sweep whose grid points have one
 participant, none, and a clearing price in the edge window near 1, and
-a CSV long enough to be written in more than one block of rows.
+per-agent CSV and JSON long enough to be written in more than one block
+of rows, including a two-round JSON whose per-round arrays are written
+row by row.
 """
 
 import hashlib
@@ -28,6 +30,9 @@ RUNS = {
     ],
     "auction-uniform-blocks": [
         "auction", "--n-agents", "70001", "--p-eps", "0.5", "--seed", "19"
+    ],
+    "repeat-uniform-blocks": [
+        "repeat", "--rounds", "2", "--n-agents", "70001", "--p-eps", "0.5", "--seed", "20"
     ],
     "reserve-beta22": [
         "reserve", "--family", "beta22", "--n-agents", "300", "--p-eps", "0.3",
@@ -63,39 +68,68 @@ DIGESTS = {
     "auction-beta22-perfect.csv":
         "15d1b3abcc0b212dd6dbdd70c5fcec67a4ef2892e7abfdcf837f79bf98e167a1",
     "auction-beta22-perfect.json":
-        "de5a00659d9326ba60f45b8b4c4d0e502aafd6003ea73a077e50835042010425",
+        "235a3ce4e003d048a2fea2f450875ce840ae5bae697435eb54cc738645ddb5e5",
     "auction-uniform-blocks.csv":
         "084e9a89e366525dc8415d6f915425329835bc7074f59878b8a6986cdcffcc87",
+    "auction-uniform-blocks.json":
+        "dd55579238b7012ea6a7e3ab8d0acb0063d12a9ab0be78e3f9039f794cbe2bc4",
     "auction-uniform-independent.csv":
         "11c4eb31a357dccc20fd494c95054be8b46afabb84cea8de59c92380f93f1116",
     "auction-uniform-independent.json":
-        "a06a6f973521cc97cf944a9c868b7b18cb8e3458a10c3663a1f2dcb9f1b11a7d",
+        "6239108649f7e9362dd06a132632c91e46c0c8cee7949c72f30d97382da0ddba",
     "crosscheck-uniform.csv":
         "1d2bdaa1e8438a52f9ff5b50444e0fd320d2e8458f436d65d77c84ca8fd553c4",
     "crosscheck-uniform.json":
-        "b0b8ea0c7eec26b21167dd1877bae4e9b442ee10399b6a8826a1dab0ed366a1b",
+        "d22574e84178f3fd21f6881c2af8c5b2eb0cf3ecc30045b366d65002e6085c87",
     "deviation-beta22.csv":
         "0b216d8f917eab01802535d5d2a6bebba579f145187233499407e6b539845b8e",
     "deviation-beta22.json":
-        "295c595ddbbd85b2d8716e8bd3861f16bbcf8d4c898a67a97a8bc56caedc310a",
+        "c80fada990a829dbc021415aae5f196a22a0760ef1a5e13116fb9976704545c6",
+    "repeat-uniform-blocks.json":
+        "a5c610b0b1fe5ad67a151e6c16c315fc07869d0d8403d93b955c3c192e40ff15",
     "repeat-uniform-perfect.csv":
         "6c8ea352d98e9fe467d5fa7c791489046741101d9e3ebea27de62e13acfcb61f",
     "repeat-uniform-perfect.json":
-        "f10cf63996062b337c69aa3499bda5df15bd2dd6a240720e874184d15f1d03c1",
+        "51ab6b1a083e519f8a13fa50cfaa102a025fda1209c6a5af1979d438c95d18da",
     "reserve-beta22.csv":
         "46e8f6033d4bfa2afd80c59bf120c414e8150d2834413786e0f0cb99d22dfd2b",
     "reserve-beta22.json":
-        "d588985f9af058381854962bd63abfb688094fe5f21dbd44ac9e3067b6921554",
+        "abc0d1751140d196706c512b6b34f2a32f17a2ce4aad5c987590eeb738cba98d",
     "sweep-beta22-sparse.csv":
         "294b481267604a987dda7d5ca8493c352ed3f94759f7c57d69873d06f1ce40d4",
     "sweep-beta22-sparse.json":
-        "d209325b4abcaab5e29645d05e4ac3769288b3d044a82427f0e4b28b21fa2367",
+        "35ad94c9c89a66ab962d3af42add5b2e458d9c23def3e4968ee23e5d93d2aff8",
     "sweep-uniform.csv":
         "63d62c9bdda2442512f567061e8b323b5eeb90fefb7ec7a24f5d342bf19a7d93",
     "sweep-uniform.json":
-        "d6e4ff03fca51c455f337da865869d86451509d0f8ecd82dd4e19e208ee8fce6",
+        "496e4ddaf59681f6a486376167455249679217ba6ad4389694ed2edc9bcf9f1b",
     "validate-dist-beta22.csv":
         "38822e00c4b942134bd477fc7d9be5e26af447e9ee4159afceef07833489a7e6",
+    "validate-dist-beta22.json":
+        "9aa7ba3e0cdeb0e1908f3288a3832b0267db991268c1e81d4a663e6a5a43f88e",
+}
+
+# Digests of the JSON artifacts as the indented writer wrote them
+# (`json.dumps(payload, sort_keys=True, indent=2)` plus a newline). The
+# compact writer changed only whitespace, so re-indenting its output must
+# give these bytes again.
+INDENTED_DIGESTS = {
+    "auction-beta22-perfect.json":
+        "de5a00659d9326ba60f45b8b4c4d0e502aafd6003ea73a077e50835042010425",
+    "auction-uniform-independent.json":
+        "a06a6f973521cc97cf944a9c868b7b18cb8e3458a10c3663a1f2dcb9f1b11a7d",
+    "crosscheck-uniform.json":
+        "b0b8ea0c7eec26b21167dd1877bae4e9b442ee10399b6a8826a1dab0ed366a1b",
+    "deviation-beta22.json":
+        "295c595ddbbd85b2d8716e8bd3861f16bbcf8d4c898a67a97a8bc56caedc310a",
+    "repeat-uniform-perfect.json":
+        "f10cf63996062b337c69aa3499bda5df15bd2dd6a240720e874184d15f1d03c1",
+    "reserve-beta22.json":
+        "d588985f9af058381854962bd63abfb688094fe5f21dbd44ac9e3067b6921554",
+    "sweep-beta22-sparse.json":
+        "d209325b4abcaab5e29645d05e4ac3769288b3d044a82427f0e4b28b21fa2367",
+    "sweep-uniform.json":
+        "d6e4ff03fca51c455f337da865869d86451509d0f8ecd82dd4e19e208ee8fce6",
     "validate-dist-beta22.json":
         "878bc0417a47384e4b67bd81fc7c368cc60ac592947741e04029e3e4397992d4",
 }
@@ -107,6 +141,15 @@ def test_artifact_bytes_are_pinned(name, tmp_path):
     out = tmp_path / name
     assert cli.main([*RUNS[stem], "--format", fmt, "--out", str(out)]) == cli.EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(INDENTED_DIGESTS))
+def test_json_artifacts_differ_from_indented_ones_only_in_whitespace(name, tmp_path):
+    out = tmp_path / name
+    argv = [*RUNS[name.removesuffix(".json")], "--format", "json", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    indented = json.dumps(json.loads(out.read_bytes()), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(indented.encode()).hexdigest() == INDENTED_DIGESTS[name]
 
 
 def test_undefined_statistics_are_strict_json_nulls(tmp_path):

@@ -2,6 +2,7 @@
 formats, exit codes, and byte-level determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -331,6 +332,45 @@ def test_repeat_json_round_trip(tmp_path):
     assert "workers" not in doc["config"]
     assert len(doc["results"]["agents"]["bid"]) == 40
     assert "participation_rate" in doc["summary"]
+
+
+def _synthetic_payloads():
+    n = cli._BLOCK_ROWS
+    rng = np.random.default_rng(5)
+    floats = rng.random(2 * n + 3)
+    floats[n + 7] = np.nan
+    wide = rng.normal(size=(3, n + 9))
+    wide[2, n + 1] = -np.inf
+    return {
+        "nan-in-second-block": {
+            "floats": floats, "ints": np.arange(n + 1), "full_block": rng.random(n),
+        },
+        "wide-2d": {"bools": rng.random((2, n + 5)) < 0.5, "floats": wide},
+        "empty": {"flat": np.array([]), "no_rows": np.empty((0, 4)),
+                  "no_columns": np.empty((3, 0), dtype=bool)},
+        "scalars": {
+            "nan": np.array(np.nan), "zero_d": np.array(7), "int": np.int64(-3),
+            "float32": np.float32(0.5), "bool": np.bool_(True),
+            "nested": {"b": [np.float64(1.5), None, "x"], "a": {}},
+        },
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_synthetic_payloads()))
+def test_streamed_json_equals_one_shot_dump(name):
+    payload = _synthetic_payloads()[name]
+    streamed = "".join(cli._json_chunks(payload))
+    reference = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                           allow_nan=False, default=cli._json_default)
+    # Compare around the first difference: pytest's own diff of one
+    # megabyte-long line takes minutes.
+    at = max(len(os.path.commonprefix([streamed, reference])) - 30, 0)
+    assert streamed[at : at + 60] == reference[at : at + 60]
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    json.loads(streamed, parse_constant=refuse)
 
 
 def test_reserve_csv_runs(tmp_path):

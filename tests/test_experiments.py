@@ -1,9 +1,13 @@
 """Tests for the experiment drivers: deviation sweeps, threshold sweeps,
 distribution validation, and the two cross-checks."""
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
+from sira import experiments
 from sira.errors import DomainError
 from sira.experiments import (
     closed_form_vs_quadrature,
@@ -135,6 +139,37 @@ def test_threshold_sweep_workers_do_not_change_results():
     np.testing.assert_array_equal(
         serial.participation_uplift_se, threaded.participation_uplift_se
     )
+
+
+def test_threshold_sweep_bounds_its_thread_pool(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size it is asked for and maps in this thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialPool)
+    grid = [0.25, 0.5, 0.75]
+    serial = threshold_sweep(ValueFamily.UNIFORM, grid, n_agents=2000, seed=8)
+    for cpus in (2, 64):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        wide = threshold_sweep(ValueFamily.UNIFORM, grid, n_agents=2000, seed=8,
+                               workers=10**6)
+        for field in dataclasses.fields(serial):
+            np.testing.assert_array_equal(getattr(wide, field.name),
+                                          getattr(serial, field.name))
+    assert sizes == [2, 3]
 
 
 def test_threshold_sweep_rejects_bad_grid():
