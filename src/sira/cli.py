@@ -9,14 +9,16 @@ against quadrature).
 Every output file is self-describing: it carries the tool version and
 the echoed run configuration, including the seed, and contains no
 timestamps, so rerunning the same specification writes byte-identical
-files. JSON is compact (sorted keys, no whitespace) and long arrays are
-written in blocks, so the text held in memory stays bounded; pipe it
-through `python -m json.tool` to read it. JSON writes undefined
-statistics (nan or infinite values) as null, and CSV writes them as
-nan. --workers never changes results; it only parallelizes sweep
-evaluation. Options may also be supplied through --config FILE (JSON
-object keyed by option name); explicit flags win over the file, which
-wins over defaults. Unknown config fields are rejected.
+files. CSV cells are C printf conversions (%.9g for floats), written
+one % call per block of rows. JSON is compact (sorted keys, no
+whitespace) and long arrays are written in blocks; either way the text
+held in memory stays bounded. Pipe JSON through `python -m json.tool`
+to read it. JSON writes undefined statistics (nan or infinite values)
+as null, and CSV writes them as nan. --workers never changes results;
+it only parallelizes sweep evaluation. Options may also be supplied
+through --config FILE (JSON object keyed by option name); explicit
+flags win over the file, which wins over defaults. Unknown config
+fields are rejected.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical
 failure, 4 I/O failure.
@@ -366,11 +368,32 @@ def parse_run_spec(argv: list[str] | None = None) -> RunSpec:
 _BLOCK_ROWS = 1 << 16
 
 
-def _cells(column: np.ndarray) -> list[str]:
-    """One column as CSV cells: bools as 1/0, floats to 9 significant digits."""
-    if column.dtype.kind == "b":
-        return np.where(column, "1", "0").tolist()
-    return list(map("{:.9g}".format if column.dtype.kind == "f" else str, column.tolist()))
+# printf conversion of a CSV cell by dtype kind; %d writes bools as 1/0.
+# Any other kind is written as str().
+_CONVERSIONS = {"f": "%.9g", "b": "%d", "i": "%d", "u": "%d"}
+
+
+def _conversion(values: np.ndarray) -> str:
+    return _CONVERSIONS.get(values.dtype.kind, "%s")
+
+
+def _csv_rows(columns: dict[str, np.ndarray]):
+    """CSV data rows as text, one string per block of ``_BLOCK_ROWS`` rows.
+
+    Each block is one ``%`` call on a row template repeated per row. Its
+    values come from one object array, filled column by column so that
+    numpy boxes them in C, and reused for every block. Bools are boxed as
+    the ints 0 and 1, which ``%d`` formats about twice as fast.
+    """
+    row = ",".join(map(_conversion, columns.values())) + "\n"
+    values = [c.view(np.uint8) if c.dtype.kind == "b" else c for c in columns.values()]
+    n_rows = len(values[0])
+    block = np.empty((min(n_rows, _BLOCK_ROWS), len(values)), dtype=object)
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        cells = block[: n_rows - start]
+        for j, column in enumerate(values):
+            cells[:, j] = column[start : start + len(cells)]
+        yield row * len(cells) % tuple(cells.flat)
 
 
 def _json_default(value):
@@ -441,12 +464,10 @@ def _emit(
             echo = json.dumps(spec.config_echo, sort_keys=True, separators=(",", ":"))
             handle.write(f"# sira {__version__}\n# config {echo}\n")
             for key in sorted(summary):
-                handle.write(f"# {key} {_cells(np.array([summary[key]]))[0]}\n")
+                value = np.asarray(summary[key])
+                handle.write(f"# {key} {_conversion(value) % value.item()}\n")
             handle.write(",".join(columns) + "\n")
-            n_rows = len(next(iter(columns.values())))
-            for start in range(0, n_rows, _BLOCK_ROWS):
-                block = [_cells(col[start : start + _BLOCK_ROWS]) for col in columns.values()]
-                handle.write("\n".join(map(",".join, zip(*block))) + "\n")
+            handle.writelines(_csv_rows(columns))
     return spec.out_path
 
 

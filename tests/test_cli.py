@@ -3,6 +3,7 @@ formats, exit codes, and byte-level determinism."""
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,6 +372,93 @@ def test_streamed_json_equals_one_shot_dump(name):
         raise ValueError(f"non-standard JSON constant {token}")
 
     json.loads(streamed, parse_constant=refuse)
+
+
+def _reference_cells(column):
+    """Per-cell CSV rule: bools as 1/0, floats to 9 significant digits,
+    everything else through str()."""
+    if column.dtype.kind == "b":
+        return ["1" if value else "0" for value in column.tolist()]
+    if column.dtype.kind == "f":
+        return ["{:.9g}".format(value) for value in column.tolist()]
+    return [str(value) for value in column.tolist()]
+
+
+def _assert_same_text(written, reference):
+    at = max(len(os.path.commonprefix([written, reference])) - 30, 0)
+    assert written[at : at + 60] == reference[at : at + 60]
+    assert len(written) == len(reference)
+
+
+def _synthetic_columns(n_rows):
+    rng = np.random.default_rng(23)
+    specials = [
+        np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+        np.finfo(float).max, -np.finfo(float).max, 1e-5, 9.999999995e-5,
+        999999999.5, 1e9, 1e16, 123456789.5,
+    ]
+    bits = rng.integers(0, 2**64, size=n_rows, dtype=np.uint64)
+    floats = bits.view(np.float64).copy()
+    floats[: len(specials)] = specials[:n_rows]
+    words = np.array(["100%", "%s", "%d%%", "plain", "a,%.9g"])
+    return {
+        "float_bits": floats,
+        "flag": rng.random(n_rows) < 0.5,
+        "float_uniform": rng.random(n_rows) * 10.0 ** rng.integers(-8, 20, n_rows),
+        "int64": rng.integers(-(2**63), 2**63 - 1, size=n_rows, dtype=np.int64),
+        "uint64": rng.integers(0, 2**64 - 1, size=n_rows, dtype=np.uint64),
+        "text": words[rng.integers(0, words.size, n_rows)],
+        "float32": rng.normal(size=n_rows).astype(np.float32),
+    }
+
+
+@pytest.mark.parametrize(
+    "n_rows", [0, 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1], ids=["0", "1", "block", "block+1"]
+)
+def test_block_csv_rows_equal_per_cell_reference(n_rows):
+    columns = _synthetic_columns(n_rows)
+    written = "".join(cli._csv_rows(columns))
+    cells = [_reference_cells(column) for column in columns.values()]
+    reference = "".join(",".join(row) + "\n" for row in zip(*cells))
+    _assert_same_text(written, reference)
+
+
+def test_csv_summary_lines_equal_per_cell_reference(tmp_path):
+    summary = {
+        "a_bool": np.bool_(True),
+        "b_false": False,
+        "c_int": -7,
+        "d_float": 0.1 + 0.2,
+        "e_nan": np.nan,
+        "f_zero_d": np.asarray(2.0 / 3.0),
+        "g_uint": np.uint64(2**64 - 1),
+        "h_text": "50%",
+    }
+    spec = cli.RunSpec("auction", {}, tmp_path / "s.csv", "csv", 1)
+    cli._emit(spec, summary, {"x": np.arange(2)}, {})
+    lines = _read_lines(spec.out_path)[2 : 2 + len(summary)]
+    assert lines == [
+        f"# {key} {_reference_cells(np.array([summary[key]]))[0]}" for key in sorted(summary)
+    ]
+
+
+def test_csv_writer_memory_is_bounded_by_one_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1000)
+    spec = cli.RunSpec("auction", {}, tmp_path / "m.csv", "csv", 1)
+
+    def peak_bytes(n_rows):
+        rng = np.random.default_rng(n_rows)
+        columns = {"agent": np.arange(n_rows), "flag": rng.random(n_rows) < 0.5}
+        columns.update((f"f{j}", rng.random(n_rows)) for j in range(8))
+        tracemalloc.start()
+        try:
+            cli._emit(spec, {}, columns, {})
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_block = peak_bytes(cli._BLOCK_ROWS)
+    assert peak_bytes(8 * cli._BLOCK_ROWS) < 2 * one_block
 
 
 def test_reserve_csv_runs(tmp_path):
