@@ -366,16 +366,13 @@ def closed_form_vs_quadrature(
     p_grid = np.asarray(p_eps_grid, dtype=float)
     if v_grid.ndim != 1 or v_grid.size == 0 or p_grid.ndim != 1 or p_grid.size == 0:
         raise DomainError("grids must be non-empty and one-dimensional")
-    if np.any(v_grid < 0.0) or np.any(v_grid > PREMIUM_MAX):
+    if not np.all((v_grid >= 0.0) & (v_grid <= PREMIUM_MAX)):
         raise DomainError(f"v_p grid outside [0, {PREMIUM_MAX}]")
     closed = np.empty((p_grid.size, v_grid.size))
     quad = np.empty_like(closed)
-    for i, p in enumerate(p_grid):
-        check_p_eps(p)
-        dist = PremiumValueDistribution(family=family, p_eps=float(p))
-        closed[i] = sira_bid(family, v_grid, float(p))
-        for j, v in enumerate(v_grid):
-            quad[i, j] = sira_bid_generic(dist.cdf_scalar, float(v), float(p))
+    for i, p in enumerate(p_grid.tolist()):
+        closed[i] = sira_bid(family, v_grid, p)
+        quad[i] = sira_bid_generic(PremiumValueDistribution(family, p).cdf, v_grid, p)
     return BidCrosscheck(
         family=family,
         p_eps=p_grid,

@@ -66,7 +66,7 @@ def check_p_eps(p_eps: float) -> float:
 def cap_bid(raw_bid):
     """Cap a raw bid at 1, the largest payment that can ever pay off."""
     raw = np.asarray(raw_bid, dtype=float)
-    if np.any(raw < 0.0):
+    if not np.all(raw >= 0.0):
         raise DomainError("raw bid must be non-negative")
     out = np.minimum(raw, 1.0)
     return float(out) if np.isscalar(raw_bid) else out
@@ -86,24 +86,23 @@ def sira_bid(family: ValueFamily, v_p, p_eps):
 
 
 def sira_bid_generic(
-    premium_cdf: Callable[[float], float], v_p: float, p_eps: float
-) -> float:
+    premium_cdf: Callable[[np.ndarray], np.ndarray], v_p, p_eps: float
+):
     """Equilibrium bid from an arbitrary premium-value cdf.
 
-    Evaluates the defining formula with the running integral of the cdf
-    computed by adaptive Simpson quadrature, splitting panels at the
-    distribution breakpoint p_eps / 2.
+    Evaluates the defining formula at every v_p at once, with the running
+    integral of the cdf computed by adaptive Simpson quadrature, splitting
+    panels at the distribution breakpoint p_eps / 2. premium_cdf is called
+    on arrays; a scalar v_p returns a float.
     """
-    check_p_eps(p_eps)
-    v = float(v_p)
-    if not (0.0 <= v <= PREMIUM_MAX):
+    p_eps = check_p_eps(p_eps)
+    scalar = np.isscalar(v_p)
+    v = np.atleast_1d(np.asarray(v_p, dtype=float))
+    if not np.all((v >= 0.0) & (v <= PREMIUM_MAX)):
         raise DomainError(f"premium value outside [0, {PREMIUM_MAX}]")
-    if v == 0.0:
-        return float(p_eps)
-    integral = adaptive_simpson(
-        lambda t: float(premium_cdf(t)), 0.0, v, breakpoints=(p_eps / 2.0,)
-    )
-    return p_eps + v * float(premium_cdf(v)) - integral
+    integral = adaptive_simpson(premium_cdf, 0.0, v, breakpoints=(p_eps / 2.0,))
+    bid = p_eps + v * premium_cdf(v) - integral
+    return float(bid[0]) if scalar else bid
 
 
 def submitted_bid(family: ValueFamily, v_p, p_eps):

@@ -60,7 +60,7 @@ class SafetyCostModel:
     def price_of_safety(self, epsilon):
         """Clearing price p_eps = M(epsilon) for a safety floor epsilon."""
         e = np.asarray(epsilon, dtype=float)
-        if np.any(e <= 0.0) or np.any(e >= 1.0):
+        if not np.all((e > 0.0) & (e < 1.0)):
             raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
         out = e**self.gamma
         return float(out) if np.isscalar(epsilon) else out
@@ -68,7 +68,7 @@ class SafetyCostModel:
     def safety_from_bid(self, bid):
         """Safety level M^{-1}(b) bought by a bid b in (0, 1]."""
         b = np.asarray(bid, dtype=float)
-        if np.any(b <= 0.0) or np.any(b > 1.0):
+        if not np.all((b > 0.0) & (b <= 1.0)):
             raise DomainError("bid outside (0, 1]")
         out = b ** (1.0 / self.gamma)
         return float(out) if np.isscalar(bid) else out
@@ -97,7 +97,7 @@ def beta22_ppf(q):
     """
     scalar = np.isscalar(q)
     q_arr = np.asarray(q, dtype=float)
-    if np.any(q_arr < 0.0) or np.any(q_arr > 1.0):
+    if not np.all((q_arr >= 0.0) & (q_arr <= 1.0)):
         raise DomainError("quantile outside [0, 1]")
     upper = q_arr > 0.5
     phi = (2.0 / 3.0) * np.arcsin(np.sqrt(np.where(upper, 1.0 - q_arr, q_arr)))
@@ -312,7 +312,7 @@ class PremiumValueDistribution:
     def _eval(self, y, kind: str, lo: float | None, hi: float | None):
         scalar = np.isscalar(y)
         arr = np.atleast_1d(np.asarray(y, dtype=float))
-        if np.any(arr < 0.0) or np.any(arr > PREMIUM_MAX):
+        if not np.all((arr >= 0.0) & (arr <= PREMIUM_MAX)):
             raise DomainError(f"premium value outside [0, {PREMIUM_MAX}]")
         fn_lo, fn_hi = PREMIUM_BRANCHES[self.family][kind]
         p = self.p_eps
@@ -335,24 +335,6 @@ class PremiumValueDistribution:
     def cdf_integral(self, y):
         """Running integral of F_v from 0 to y."""
         return self._eval(y, "cdf_integral", 0.0, None)
-
-    def cdf_scalar(self, y: float) -> float:
-        """Plain-float evaluation of cdf, for quadrature inner loops.
-
-        Calls the same branch function as cdf on a float, so the two
-        agree bit for bit, while avoiding the array dispatch that
-        dominates the cost of adaptive integration.
-        """
-        y = float(y)
-        if not (0.0 <= y <= PREMIUM_MAX):
-            raise DomainError(f"premium value outside [0, {PREMIUM_MAX}]")
-        fn_lo, fn_hi = PREMIUM_BRANCHES[self.family]["cdf"]
-        val = float((fn_lo if y <= self.breakpoint else fn_hi)(y, self.p_eps))
-        if val < 0.0 or val > 1.0:
-            if val < -_CLAMP_TOL or val > 1.0 + _CLAMP_TOL:
-                raise NumericalError("premium cdf outside [0, 1] beyond round-off")
-            val = min(max(val, 0.0), 1.0)
-        return val
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +369,7 @@ def empirical_pdf_cdf(samples, bins: int) -> EmpiricalDistribution:
         raise DomainError("samples must be a non-empty one-dimensional collection")
     if bins < 10:
         raise DomainError(f"bins must be at least 10, got {bins}")
-    if np.any(arr < 0.0) or np.any(arr > PREMIUM_MAX):
+    if not np.all((arr >= 0.0) & (arr <= PREMIUM_MAX)):
         raise DomainError(f"samples outside [0, {PREMIUM_MAX}]")
     counts, edges = np.histogram(arr, bins=bins, range=(0.0, PREMIUM_MAX))
     width = PREMIUM_MAX / bins

@@ -9,7 +9,9 @@ rejected zero bid (written as -0), a sweep whose grid points have one
 participant, none, and a clearing price in the edge window near 1, and
 per-agent CSV and JSON long enough to be written in more than one block
 of rows, including a two-round JSON whose per-round arrays are written
-row by row.
+row by row. Two crosschecks at the benchmark's size (1000 premium values
+by 9 prices) pin the quadrature route: Beta(2, 2) across [0.1, 0.9] and
+uniform across the edge window [0.999, 1 - 1e-6].
 """
 
 import hashlib
@@ -62,6 +64,14 @@ RUNS = {
         "crosscheck", "--family", "uniform", "--v-p-grid", "0:0.5:6", "--p-eps-list",
         "0.25,0.75"
     ],
+    "crosscheck-beta22-bench": [
+        "crosscheck", "--family", "beta22", "--v-p-grid", "0:0.5:1000", "--p-eps-list",
+        "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
+    ],
+    "crosscheck-uniform-edge": [
+        "crosscheck", "--family", "uniform", "--v-p-grid", "0:0.5:1000", "--p-eps-list",
+        "0.999,0.9992,0.9995,0.9997,0.9999,0.99995,0.99999,0.999995,0.999999"
+    ],
 }
 
 DIGESTS = {
@@ -77,6 +87,14 @@ DIGESTS = {
         "11c4eb31a357dccc20fd494c95054be8b46afabb84cea8de59c92380f93f1116",
     "auction-uniform-independent.json":
         "6239108649f7e9362dd06a132632c91e46c0c8cee7949c72f30d97382da0ddba",
+    "crosscheck-beta22-bench.csv":
+        "d681b3fc0370637e63dc72019206297293a1f37b5b6389a5fcb07c7ff920a3ee",
+    "crosscheck-beta22-bench.json":
+        "44cd45f4a7bb39fc56bcfa2feef63611af4ed02ec3effc2aef992c8064d37ee1",
+    "crosscheck-uniform-edge.csv":
+        "db2121fde190e8e42ea31318f1fa21ae41870c643b6d8f652efdc5f5417ee643",
+    "crosscheck-uniform-edge.json":
+        "7a2bdeef2150d9eb0583ffe9482483ef604d1097af6c5a259da11ec13e2af633",
     "crosscheck-uniform.csv":
         "1d2bdaa1e8438a52f9ff5b50444e0fd320d2e8458f436d65d77c84ca8fd553c4",
     "crosscheck-uniform.json":

@@ -126,6 +126,12 @@ def test_bad_p_eps_exits_usage(tmp_path, capsys):
     assert "p_eps" in err  # the offending field is named
 
 
+def test_nan_premium_value_exits_usage(tmp_path, capsys):
+    argv = ["crosscheck", "--v-p-grid", "0.1,nan", "--out", str(tmp_path / "c.csv")]
+    assert _run(argv) == cli.EXIT_USAGE
+    assert "v_p grid outside" in capsys.readouterr().err
+
+
 def test_parser_error_returns_usage_in_process(capsys):
     # A missing option value must come back as an exit code, not SystemExit.
     assert _run(["auction", "--n-agents"]) == cli.EXIT_USAGE

@@ -19,11 +19,15 @@ from sira.strategy import (
     sira_decision_arrays,
     submitted_bid,
 )
+from sira.experiments import closed_form_vs_quadrature
 from sira.value_model import (
+    PREMIUM_MAX,
     AgentValuation,
     PremiumValueDistribution,
     SafetyCostModel,
     ValueFamily,
+    beta22_ppf,
+    empirical_pdf_cdf,
     sample_valuations,
 )
 
@@ -95,6 +99,33 @@ def test_bid_rejects_out_of_range_inputs():
         sira_bid(BETA22, 0.2, 1.0)
 
 
+_NAN = float("nan")
+_DIST = PremiumValueDistribution(UNIFORM, 0.5)
+# Every range check reads "not all inside the range", so nan is rejected.
+_NAN_INPUTS = {
+    "sira_bid": lambda x: sira_bid(UNIFORM, x, 0.5),
+    "sira_bid_generic": lambda x: sira_bid_generic(_DIST.cdf, x, 0.5),
+    "pdf": _DIST.pdf,
+    "cdf": _DIST.cdf,
+    "cdf_integral": _DIST.cdf_integral,
+    "beta22_ppf": beta22_ppf,
+    "cap_bid": cap_bid,
+    "price_of_safety": SafetyCostModel().price_of_safety,
+    "safety_from_bid": SafetyCostModel().safety_from_bid,
+    "empirical_pdf_cdf": lambda x: empirical_pdf_cdf(np.append(np.full(9, 0.2), x), 10),
+    "closed_form_vs_quadrature": lambda x: closed_form_vs_quadrature(
+        UNIFORM, np.append(0.1, x), [0.5]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_INPUTS))
+@pytest.mark.parametrize("as_array", [False, True])
+def test_range_checks_reject_nan(name, as_array):
+    with pytest.raises(DomainError):
+        _NAN_INPUTS[name](np.array([0.2, _NAN]) if as_array else _NAN)
+
+
 # ---------------------------------------------------------------------------
 # Generic (quadrature) bid
 
@@ -104,16 +135,28 @@ def test_bid_rejects_out_of_range_inputs():
 def test_generic_bid_quadrature_route_matches_closed_form(family, p_eps):
     dist = PremiumValueDistribution(family, p_eps)
     for v_p in (0.05, p_eps / 2.0, 0.3, 0.49):
-        got = sira_bid_generic(dist.cdf_scalar, v_p, p_eps)
+        got = sira_bid_generic(dist.cdf, v_p, p_eps)
         want = float(sira_bid(family, v_p, p_eps))
         assert got == pytest.approx(want, abs=1e-9), (family, p_eps, v_p)
 
 
-def test_generic_bid_zero_premium_skips_integration():
-    def explode(_y):
-        raise AssertionError("cdf should not be evaluated for v_p = 0")
+def test_generic_bid_at_zero_premium_is_the_price():
+    for family in ValueFamily:
+        for p_eps in (1e-6, 0.3, 1.0 - 1e-6):
+            cdf = PremiumValueDistribution(family, p_eps).cdf
+            assert sira_bid_generic(cdf, 0.0, p_eps) == p_eps
+            bids = sira_bid_generic(cdf, np.array([0.0, 0.2, 0.0]), p_eps)
+            assert bids[0] == bids[2] == p_eps
 
-    assert sira_bid_generic(explode, 0.0, 0.3) == 0.3
+
+def test_generic_bid_takes_an_array_and_a_scalar_returns_a_float():
+    dist = PremiumValueDistribution(ValueFamily.BETA22, 0.4)
+    v_p = np.linspace(0.0, PREMIUM_MAX, 11)
+    bids = sira_bid_generic(dist.cdf, v_p, 0.4)
+    assert bids.shape == v_p.shape
+    for v, bid in zip(v_p.tolist(), bids.tolist()):
+        one = sira_bid_generic(dist.cdf, v, 0.4)
+        assert type(one) is float and one == bid
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +203,7 @@ def test_predicted_utilities_match_scalar_view_on_both_branches():
     dist = PremiumValueDistribution(family, p)
     got = predicted_utilities(v_d, v_p, bid, dist.cdf(v_p))
     expected = [
-        d + v - 1.0 if b >= 1.0 else d + v * dist.cdf_scalar(v) - b
+        d + v - 1.0 if b >= 1.0 else d + v * dist.cdf(v) - b
         for d, v, b in zip(v_d.tolist(), v_p.tolist(), bid.tolist())
     ]
     np.testing.assert_array_equal(got, expected)
