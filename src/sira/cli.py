@@ -36,16 +36,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, mechanism
 from .errors import ConfigError, DomainError, NumericalError
-from .mechanism import (
-    AuctionConfig,
-    AuctionReport,
-    PairingMode,
-    run_repeated_sira,
-    run_reserve_threshold,
-    run_sira,
-)
+from .mechanism import AuctionConfig, AuctionReport, PairingMode
 from .experiments import (
     closed_form_vs_quadrature,
     deviation_sweep,
@@ -169,27 +162,20 @@ _ENGINE_OPTS = [
     _seed_opt(),
 ]
 
+_PAIRING_OPT = _Opt(
+    "pairing",
+    _to_pairing,
+    "independent",
+    "premium pairing rule",
+    choices=tuple(sorted(_PAIRINGS)),
+)
+
 _COMMAND_OPTIONS: dict[str, list[_Opt]] = {
-    "auction": [
-        *_ENGINE_OPTS,
-        _Opt(
-            "pairing",
-            _to_pairing,
-            "independent",
-            "premium pairing rule",
-            choices=tuple(sorted(_PAIRINGS)),
-        ),
-    ],
+    "auction": [*_ENGINE_OPTS, _PAIRING_OPT],
     "reserve": list(_ENGINE_OPTS),
     "repeat": [
         *_ENGINE_OPTS,
-        _Opt(
-            "pairing",
-            _to_pairing,
-            "independent",
-            "premium pairing rule",
-            choices=tuple(sorted(_PAIRINGS)),
-        ),
+        _PAIRING_OPT,
         _Opt("rounds", _to_int, 5, "number of repeated rounds"),
     ],
     "deviation": [
@@ -475,16 +461,25 @@ def _emit(
 # Handlers
 
 
-def _auction_config(params: dict[str, Any], rounds: int = 1) -> AuctionConfig:
+def _auction_config(params: dict[str, Any]) -> AuctionConfig:
     return AuctionConfig(
         n_agents=params["n_agents"],
         p_eps=params["p_eps"],
         family=ValueFamily(params["family"]),
         seed=params["seed"],
         gamma=params["gamma"],
-        rounds=rounds,
+        rounds=params.get("rounds", 1),
         pairing=_PAIRINGS[params.get("pairing", "independent")],
     )
+
+
+# The engine of each per-agent subcommand, looked up by name in sira.mechanism
+# when the command runs, so that a wrapper installed there (tracing) is called.
+_ENGINES = {
+    "auction": "run_sira",
+    "reserve": "run_reserve_threshold",
+    "repeat": "run_repeated_sira",
+}
 
 
 _AGENT_FIELDS = (
@@ -527,19 +522,9 @@ def _report_output(report: AuctionReport) -> tuple[dict, dict, dict]:
     return summary, columns, results
 
 
-def _handle_auction(spec: RunSpec) -> Path:
-    report = run_sira(_auction_config(spec.params))
-    return _emit(spec, *_report_output(report))
-
-
-def _handle_reserve(spec: RunSpec) -> Path:
-    report = run_reserve_threshold(_auction_config(spec.params))
-    return _emit(spec, *_report_output(report))
-
-
-def _handle_repeat(spec: RunSpec) -> Path:
-    report = run_repeated_sira(_auction_config(spec.params, rounds=spec.params["rounds"]))
-    return _emit(spec, *_report_output(report))
+def _handle_agents(spec: RunSpec) -> Path:
+    engine = getattr(mechanism, _ENGINES[spec.subcommand])
+    return _emit(spec, *_report_output(engine(_auction_config(spec.params))))
 
 
 def _handle_deviation(spec: RunSpec) -> Path:
@@ -694,9 +679,7 @@ def _handle_crosscheck(spec: RunSpec) -> Path:
 
 
 _HANDLERS: dict[str, Callable[[RunSpec], Path]] = {
-    "auction": _handle_auction,
-    "reserve": _handle_reserve,
-    "repeat": _handle_repeat,
+    **dict.fromkeys(_ENGINES, _handle_agents),
     "deviation": _handle_deviation,
     "sweep": _handle_sweep,
     "validate-dist": _handle_validate_dist,

@@ -17,14 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .mechanism import AuctionConfig, _draw_population, _sira_decisions, beats
+from .mechanism import (
+    AuctionConfig,
+    _draw_population,
+    _reserve_from_population,
+    _sira_decisions,
+    beats,
+)
 from .seeding import STREAM_EXPERIMENT, child_seed, substream
 from .strategy import (
     cap_bid,
     check_p_eps,
     predicted_utilities,
     realized_utilities,
-    reserve_decision_arrays,
     sira_bid,
     sira_bid_generic,
     submitted_bid,
@@ -203,14 +208,14 @@ def _sweep_point(
 ) -> tuple[float, ...]:
     """One grid point's summary row, in ThresholdSweepResult field order.
 
-    The population is drawn once and fed to both decision kernels; the
-    summary needs no premium contest.
+    The population is drawn once and fed to the reserve engine and the
+    SIRA decision kernel; the summary needs no premium contest.
     """
     config = AuctionConfig(
         n_agents=n_agents, p_eps=p_eps, family=family, seed=point_seed, gamma=gamma
     )
     total, lam = _draw_population(config)
-    reserve = reserve_decision_arrays(total - lam * total, p_eps, config.model)
+    reserve = _reserve_from_population(config, total, lam)
     sira = _sira_decisions(config, total, lam)
     res_stats = _mechanism_stats(reserve.participates, reserve.bid)
     sira_stats = _mechanism_stats(sira.participates, sira.bid)

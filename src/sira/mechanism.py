@@ -10,8 +10,9 @@ to a fair coin, and every submitted bid is sunk whether or not it wins.
 Payments are sunk once. In the repeated engine the bid is unchanged
 across rounds and the regulator prices cumulative safety, so no
 incremental payment is due after round one; deployment value is granted
-in the first accepted round only, while the premium can be won in every
-round.
+in round 0 only, while the premium can be won in every round. Both
+engines end with the per-round wins, from which AuctionReport derives
+every value and utility column.
 
 Randomness is split into named substreams of the config seed (see
 seeding), so reports are reproducible and independent of scheduling.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -140,39 +142,39 @@ def _award_round_perfect(
     return won
 
 
+_AWARD_ROUND = {
+    PairingMode.INDEPENDENT_OPPONENT: _award_round_independent,
+    PairingMode.PERFECT_MATCHING: _award_round_perfect,
+}
+
+
 # ---------------------------------------------------------------------------
 # Reports
 
 
 @dataclass(frozen=True, eq=False)
 class AuctionReport:
-    """Struct-of-arrays record of a full run plus its aggregates.
+    """Struct-of-arrays record of a full run.
 
-    Aggregates are computed once from the per-agent arrays; value_by_round
-    holds the gross value granted per agent and round, so
-    realized_utility equals the column sum minus bid_paid exactly.
+    Stores what the run draws (total_value, scaling_factor), what the
+    agents decide (the DecisionArrays columns) and what the contest
+    awards (won_by_round, rounds x agents); every other column and
+    aggregate is derived from these. accepted is participates, as every
+    participant's bid clears the price. value_by_round, the gross value
+    granted per round, and realized_utility, its column sum minus
+    bid_paid, are computed once, on first use.
     """
 
     config: AuctionConfig
     mechanism: str
     total_value: np.ndarray
     scaling_factor: np.ndarray
-    premium_value: np.ndarray
-    deployment_value: np.ndarray
     raw_bid: np.ndarray
     bid: np.ndarray
     predicted_utility: np.ndarray
     participates: np.ndarray
-    accepted: np.ndarray
-    bid_paid: np.ndarray
     safety: np.ndarray
     won_by_round: np.ndarray
-    value_by_round: np.ndarray
-    realized_utility: np.ndarray
-    participation_rate: float
-    mean_bid: float
-    mean_realized_utility: float
-    premium_award_count: int
 
     @property
     def n_agents(self) -> int:
@@ -183,48 +185,52 @@ class AuctionReport:
         return int(self.won_by_round.shape[0])
 
     @property
+    def premium_value(self) -> np.ndarray:
+        return self.scaling_factor * self.total_value
+
+    @property
+    def deployment_value(self) -> np.ndarray:
+        return self.total_value - self.premium_value
+
+    @property
+    def accepted(self) -> np.ndarray:
+        return self.participates
+
+    @property
+    def bid_paid(self) -> np.ndarray:
+        return np.where(self.participates, self.bid, 0.0)
+
+    @property
     def won_premium(self) -> np.ndarray:
         """Whether each agent won the premium in at least one round."""
         return self.won_by_round.any(axis=0)
 
+    @cached_property
+    def value_by_round(self) -> np.ndarray:
+        value = np.where(self.won_by_round, self.premium_value, 0.0)
+        value[0] += np.where(self.participates, self.deployment_value, 0.0)
+        return value
 
-def _aggregate(
-    config: AuctionConfig,
-    mechanism: str,
-    total: np.ndarray,
-    lam: np.ndarray,
-    premium: np.ndarray,
-    deployment: np.ndarray,
-    decision: DecisionArrays,
-    won_by_round: np.ndarray,
-    value_by_round: np.ndarray,
-) -> AuctionReport:
-    participates = decision.participates
-    bid_paid = np.where(participates, decision.bid, 0.0)
-    realized = value_by_round.sum(axis=0) - bid_paid
-    any_participant = bool(participates.any())
-    return AuctionReport(
-        config=config,
-        mechanism=mechanism,
-        total_value=total,
-        scaling_factor=lam,
-        premium_value=premium,
-        deployment_value=deployment,
-        raw_bid=decision.raw_bid,
-        bid=decision.bid,
-        predicted_utility=decision.predicted_utility,
-        participates=participates,
-        accepted=participates,
-        bid_paid=bid_paid,
-        safety=decision.safety,
-        won_by_round=won_by_round,
-        value_by_round=value_by_round,
-        realized_utility=realized,
-        participation_rate=float(participates.mean()),
-        mean_bid=float(decision.bid[participates].mean()) if any_participant else float("nan"),
-        mean_realized_utility=float(realized.mean()),
-        premium_award_count=int(won_by_round.sum()),
-    )
+    @cached_property
+    def realized_utility(self) -> np.ndarray:
+        return self.value_by_round.sum(axis=0) - self.bid_paid
+
+    @property
+    def participation_rate(self) -> float:
+        return float(self.participates.mean())
+
+    @property
+    def mean_bid(self) -> float:
+        """Mean bid of the participants; nan when nobody participates."""
+        return float(self.bid[self.participates].mean()) if self.participates.any() else np.nan
+
+    @property
+    def mean_realized_utility(self) -> float:
+        return float(self.realized_utility.mean())
+
+    @property
+    def premium_award_count(self) -> int:
+        return int(self.won_by_round.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +257,9 @@ def run_reserve_threshold(config: AuctionConfig) -> AuctionReport:
 def _reserve_from_population(
     config: AuctionConfig, total: np.ndarray, lam: np.ndarray
 ) -> AuctionReport:
-    premium = lam * total
-    deployment = total - premium
-    decision = reserve_decision_arrays(deployment, config.p_eps, config.model)
-    won_by_round = np.zeros((1, total.size), dtype=bool)
-    value_by_round = np.where(decision.participates, deployment, 0.0)[None, :]
-    return _aggregate(
-        config, RESERVE_THRESHOLD, total, lam, premium, deployment, decision,
-        won_by_round, value_by_round,
-    )
+    decision = reserve_decision_arrays(total - lam * total, config.p_eps, config.model)
+    no_wins = np.zeros((1, total.size), dtype=bool)
+    return AuctionReport(config, RESERVE_THRESHOLD, total, lam, *decision, no_wins)
 
 
 def _sira_decisions(
@@ -280,36 +280,18 @@ def _sira_decisions(
 def _sira_from_population(
     config: AuctionConfig, total: np.ndarray, lam: np.ndarray, rounds: int
 ) -> AuctionReport:
-    n = total.size
     decision = _sira_decisions(config, total, lam)
-    accepted = decision.participates
-    premium = lam * total
-    deployment = total - premium
-
-    accepted_index = np.flatnonzero(accepted)
+    accepted_index = np.flatnonzero(decision.participates)
     accepted_bids = decision.bid[accepted_index]
-    won_by_round = np.zeros((rounds, n), dtype=bool)
-    value_by_round = np.zeros((rounds, n))
-    deployed = np.zeros(n, dtype=bool)
+    award_round = _AWARD_ROUND[config.pairing]
+    won_by_round = np.zeros((rounds, total.size), dtype=bool)
     for r in range(rounds):
-        opp_rng = substream(config.seed, STREAM_OPPONENTS, r)
-        tie_rng = substream(config.seed, STREAM_TIES, r)
-        if config.pairing is PairingMode.INDEPENDENT_OPPONENT:
-            won_accepted = _award_round_independent(accepted_bids, opp_rng, tie_rng)
-        else:
-            won_accepted = _award_round_perfect(accepted_bids, opp_rng, tie_rng)
-        won = np.zeros(n, dtype=bool)
-        won[accepted_index] = won_accepted
-        newly_deployed = accepted & ~deployed
-        gain = np.where(newly_deployed, deployment, 0.0)
-        gain = np.where(won, gain + premium, gain)
-        deployed |= accepted
-        won_by_round[r] = won
-        value_by_round[r] = gain
-    return _aggregate(
-        config, SIRA, total, lam, premium, deployment, decision,
-        won_by_round, value_by_round,
-    )
+        won_by_round[r, accepted_index] = award_round(
+            accepted_bids,
+            substream(config.seed, STREAM_OPPONENTS, r),
+            substream(config.seed, STREAM_TIES, r),
+        )
+    return AuctionReport(config, SIRA, total, lam, *decision, won_by_round)
 
 
 def run_sira(config: AuctionConfig) -> AuctionReport:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sira.mechanism as mechanism
@@ -382,3 +382,96 @@ def test_repeated_rounds_use_distinct_pairing_streams():
     config = _config(n_agents=5000, rounds=2)
     report = run_repeated_sira(config)
     assert not np.array_equal(report.won_by_round[0], report.won_by_round[1])
+
+
+# ---------------------------------------------------------------------------
+# Derived report fields
+
+
+def _reference_value_by_round(accepted, won_by_round, premium, deployment):
+    """The engine's former round loop, kept as the reference for value_by_round.
+
+    Deployment value is granted in the first round an agent is accepted,
+    and the premium in every round it wins.
+    """
+    rounds, n = won_by_round.shape
+    value_by_round = np.zeros((rounds, n))
+    deployed = np.zeros(n, dtype=bool)
+    for r in range(rounds):
+        newly_deployed = accepted & ~deployed
+        gain = np.where(newly_deployed, deployment, 0.0)
+        gain = np.where(won_by_round[r], gain + premium, gain)
+        deployed |= accepted
+        value_by_round[r] = gain
+    return value_by_round
+
+
+def _assert_same_floats(actual, expected):
+    """Equal shapes and equal float64 bit patterns."""
+    actual, expected = np.asarray(actual), np.asarray(expected, dtype=float)
+    assert actual.dtype == np.float64 and actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def _assert_derived_fields_recount(report):
+    total, lam = report.total_value, report.scaling_factor
+    participates, bid, won_by_round = report.participates, report.bid, report.won_by_round
+    n = total.size
+    assert report.n_agents == n and report.rounds == won_by_round.shape[0]
+    premium = lam * total
+    deployment = total - premium
+    _assert_same_floats(report.premium_value, premium)
+    _assert_same_floats(report.deployment_value, deployment)
+    np.testing.assert_array_equal(report.accepted, participates)
+    bid_paid = [b if p else 0.0 for b, p in zip(bid.tolist(), participates.tolist())]
+    _assert_same_floats(report.bid_paid, bid_paid)
+    # A win needs an accepted bid.
+    assert not np.any(won_by_round & ~participates)
+    np.testing.assert_array_equal(report.won_premium, [any(c) for c in won_by_round.T.tolist()])
+    value_by_round = _reference_value_by_round(participates, won_by_round, premium, deployment)
+    _assert_same_floats(report.value_by_round, value_by_round)
+    realized = value_by_round.sum(axis=0) - np.array(bid_paid)
+    _assert_same_floats(report.realized_utility, realized)
+
+    count = int(np.count_nonzero(participates))
+    assert report.participation_rate == count / n
+    if count:
+        assert report.mean_bid == pytest.approx(math.fsum(bid[participates]) / count, rel=1e-12)
+    else:
+        assert math.isnan(report.mean_bid)
+    assert report.mean_realized_utility == pytest.approx(
+        math.fsum(realized.tolist()) / n, rel=1e-12, abs=1e-15
+    )
+    assert report.premium_award_count == sum(map(sum, won_by_round.tolist()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(ValueFamily),
+    pairing=st.sampled_from(PairingMode),
+    rounds=st.integers(1, 4),
+    p_eps=st.floats(1e-6, 1.0 - 1e-6),
+    n_agents=st.integers(2, 300),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(family=ValueFamily.UNIFORM, pairing=PairingMode.PERFECT_MATCHING, rounds=3,
+         p_eps=1e-6, n_agents=299, seed=1)
+@example(family=ValueFamily.BETA22, pairing=PairingMode.INDEPENDENT_OPPONENT, rounds=4,
+         p_eps=1.0 - 1e-6, n_agents=300, seed=2)
+def test_report_fields_recount_from_draw_decisions_and_wins(
+    family, pairing, rounds, p_eps, n_agents, seed
+):
+    config = AuctionConfig(n_agents=n_agents, p_eps=p_eps, family=family, seed=seed,
+                           rounds=rounds, pairing=pairing)
+    sira = run_repeated_sira(config)
+    assert sira.mechanism == SIRA and sira.rounds == rounds
+    _assert_derived_fields_recount(sira)
+
+    reserve = run_reserve_threshold(config)
+    assert reserve.mechanism == RESERVE_THRESHOLD
+    assert reserve.won_by_round.shape == (1, n_agents) and not reserve.won_by_round.any()
+    _assert_same_floats(
+        reserve.value_by_round[0],
+        np.where(reserve.participates, reserve.deployment_value, 0.0),
+    )
+    _assert_derived_fields_recount(reserve)
