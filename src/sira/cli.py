@@ -20,6 +20,10 @@ through --config FILE (JSON object keyed by option name); explicit
 flags win over the file, which wins over defaults. Unknown config
 fields are rejected.
 
+An experiment's JSON results are its CSV columns, one array per column;
+sweep adds its paired participation uplift and that uplift's standard
+error. The per-agent subcommands keep a nested layout.
+
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical
 failure, 4 I/O failure.
 """
@@ -433,8 +437,9 @@ def _emit(
     spec: RunSpec,
     summary: dict[str, Any],
     columns: dict[str, np.ndarray],
-    results: dict[str, Any],
+    results: dict[str, Any] | None = None,
 ) -> Path:
+    # JSON results are the CSV's columns unless a handler passes its own.
     with open(spec.out_path, "w", encoding="utf-8", newline="\n") as handle:
         if spec.fmt == "json":
             payload = {
@@ -442,7 +447,7 @@ def _emit(
                 "version": __version__,
                 "config": spec.config_echo,
                 "summary": summary,
-                "results": results,
+                "results": columns if results is None else results,
             }
             handle.writelines(_json_chunks(payload))
             handle.write("\n")
@@ -558,17 +563,7 @@ def _handle_deviation(spec: RunSpec) -> Path:
         "gap_vs_optimum": result.gap_vs_optimum,
         "gap_std_err": result.gap_std_error,
     }
-    results = {
-        "deltas": result.deltas,
-        "bids": result.bids,
-        "mean_utility": result.mean_utility,
-        "std_error": result.std_error,
-        "gap_vs_optimum": result.gap_vs_optimum,
-        "gap_std_error": result.gap_std_error,
-        "n_opponents": result.n_opponents,
-        "optimum_index": zero,
-    }
-    return _emit(spec, summary, columns, results)
+    return _emit(spec, summary, columns)
 
 
 def _handle_sweep(spec: RunSpec) -> Path:
@@ -602,23 +597,13 @@ def _handle_sweep(spec: RunSpec) -> Path:
         ),
         "se_bid": by_mechanism(result.reserve_mean_bid_se, result.sira_mean_bid_se),
     }
-    results = {
-        "p_eps": result.p_eps,
-        "reserve_participation": result.reserve_participation,
-        "reserve_participation_se": result.reserve_participation_se,
-        "reserve_mean_bid": result.reserve_mean_bid,
-        "reserve_mean_bid_se": result.reserve_mean_bid_se,
-        "sira_participation": result.sira_participation,
-        "sira_participation_se": result.sira_participation_se,
-        "sira_mean_bid": result.sira_mean_bid,
-        "sira_mean_bid_se": result.sira_mean_bid_se,
+    # The paired uplift averages per-agent differences, which the
+    # per-mechanism rows cannot give.
+    uplift = {
         "participation_uplift": result.participation_uplift,
         "participation_uplift_se": result.participation_uplift_se,
-        "mean_bid_uplift": result.mean_bid_uplift,
-        "mean_bid_uplift_se": result.mean_bid_uplift_se,
-        "n_agents": result.n_agents,
     }
-    return _emit(spec, summary, columns, results)
+    return _emit(spec, summary, columns, {**columns, **uplift})
 
 
 def _handle_validate_dist(spec: RunSpec) -> Path:
@@ -640,17 +625,7 @@ def _handle_validate_dist(spec: RunSpec) -> Path:
         "empirical_cdf": table.cumulative,
         "analytic_cdf": result.analytic_cdf,
     }
-    results = {
-        "bin_edges": table.bin_edges,
-        "empirical_pdf": table.density,
-        "analytic_pdf": result.analytic_density,
-        "empirical_cdf": table.cumulative,
-        "analytic_cdf": result.analytic_cdf,
-        "pdf_sup_error": result.pdf_sup_error,
-        "cdf_sup_error": result.cdf_sup_error,
-        "ks_distance": result.ks_distance,
-    }
-    return _emit(spec, summary, columns, results)
+    return _emit(spec, summary, columns)
 
 
 def _handle_crosscheck(spec: RunSpec) -> Path:
@@ -668,14 +643,7 @@ def _handle_crosscheck(spec: RunSpec) -> Path:
         "quadrature_bid": result.quadrature.ravel(),
         "abs_diff": np.abs(result.closed_form - result.quadrature).ravel(),
     }
-    results = {
-        "p_eps": result.p_eps,
-        "v_p": result.v_p,
-        "closed_form": result.closed_form,
-        "quadrature": result.quadrature,
-        "max_abs_diff": result.max_abs_diff,
-    }
-    return _emit(spec, summary, columns, results)
+    return _emit(spec, summary, columns)
 
 
 _HANDLERS: dict[str, Callable[[RunSpec], Path]] = {

@@ -136,22 +136,23 @@ def deviation_sweep(
     v_p = probe.premium_value
     v_d = probe.deployment_value
     bids = cap_bid((1.0 + grid) * submitted_bid(family, v_p, p_eps))
-    utilities = np.empty((grid.size, n_opponents))
-    for i, bid in enumerate(bids):
+
+    def utilities(bid: float) -> np.ndarray:
         won = beats(bid, opp_bids, coins)
-        utilities[i] = realized_utilities(v_d, v_p, bid, bid >= p_eps, won)
+        return realized_utilities(v_d, v_p, bid, bid >= p_eps, won)
 
     zero = int(np.flatnonzero(grid == 0.0)[0])
-    diffs = utilities[zero][None, :] - utilities
-    mean = utilities.mean(axis=1)
-    se = utilities.std(axis=1, ddof=1) / np.sqrt(n_opponents)
+    base = utilities(bids[zero])
+    rows = []
+    for i, bid in enumerate(bids):
+        u = base if i == zero else utilities(bid)
+        rows.append((*_mean_se(u), *_mean_se(base - u)))
+    mean, se, gap, gap_se = (np.array(column) for column in zip(*rows))
     # A rejected bid realizes -bid on every draw; pin the degenerate
     # statistics so summation order cannot smear them.
     sub = bids < p_eps
     mean[sub] = -bids[sub]
     se[sub] = 0.0
-    gap = diffs.mean(axis=1)
-    gap_se = diffs.std(axis=1, ddof=1) / np.sqrt(n_opponents)
     return DeviationSweepResult(
         family=family,
         p_eps=float(p_eps),

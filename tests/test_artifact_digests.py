@@ -90,19 +90,19 @@ DIGESTS = {
     "crosscheck-beta22-bench.csv":
         "d681b3fc0370637e63dc72019206297293a1f37b5b6389a5fcb07c7ff920a3ee",
     "crosscheck-beta22-bench.json":
-        "44cd45f4a7bb39fc56bcfa2feef63611af4ed02ec3effc2aef992c8064d37ee1",
+        "3e5872c595f9cc4d55938e4a38975adc0d17d986727af1f93accff43d4bc4b9a",
     "crosscheck-uniform-edge.csv":
         "db2121fde190e8e42ea31318f1fa21ae41870c643b6d8f652efdc5f5417ee643",
     "crosscheck-uniform-edge.json":
-        "7a2bdeef2150d9eb0583ffe9482483ef604d1097af6c5a259da11ec13e2af633",
+        "1c4eab0c806adc040d4d87f0d2d57d29aac597a77bbf1093bfbee0a029ca17cb",
     "crosscheck-uniform.csv":
         "1d2bdaa1e8438a52f9ff5b50444e0fd320d2e8458f436d65d77c84ca8fd553c4",
     "crosscheck-uniform.json":
-        "d22574e84178f3fd21f6881c2af8c5b2eb0cf3ecc30045b366d65002e6085c87",
+        "f70bad123bf9e5518445f515519e399969a8e68a2d36a4ea2453fc9691b37dd4",
     "deviation-beta22.csv":
         "0b216d8f917eab01802535d5d2a6bebba579f145187233499407e6b539845b8e",
     "deviation-beta22.json":
-        "c80fada990a829dbc021415aae5f196a22a0760ef1a5e13116fb9976704545c6",
+        "9749757f60980181e5e361f5d1d669b500efd3711c2e7d96849298d8b301112d",
     "repeat-uniform-blocks.json":
         "a5c610b0b1fe5ad67a151e6c16c315fc07869d0d8403d93b955c3c192e40ff15",
     "repeat-uniform-perfect.csv":
@@ -116,40 +116,31 @@ DIGESTS = {
     "sweep-beta22-sparse.csv":
         "294b481267604a987dda7d5ca8493c352ed3f94759f7c57d69873d06f1ce40d4",
     "sweep-beta22-sparse.json":
-        "35ad94c9c89a66ab962d3af42add5b2e458d9c23def3e4968ee23e5d93d2aff8",
+        "5f35993d48907d34661510f69ec38b5b7a7fe89e35f81cf10d532b1ddff32f20",
     "sweep-uniform.csv":
         "63d62c9bdda2442512f567061e8b323b5eeb90fefb7ec7a24f5d342bf19a7d93",
     "sweep-uniform.json":
-        "496e4ddaf59681f6a486376167455249679217ba6ad4389694ed2edc9bcf9f1b",
+        "27cfc7c8fe063cb1dd97b26fb1b4f1b2a2297821c7863d9d9b308e90d310646b",
     "validate-dist-beta22.csv":
         "38822e00c4b942134bd477fc7d9be5e26af447e9ee4159afceef07833489a7e6",
     "validate-dist-beta22.json":
-        "9aa7ba3e0cdeb0e1908f3288a3832b0267db991268c1e81d4a663e6a5a43f88e",
+        "c5e53ff21ef237118c3dd2f4fe6310ea3da3df6425051f51f704bff7d41b916e",
 }
 
 # Digests of the JSON artifacts as the indented writer wrote them
 # (`json.dumps(payload, sort_keys=True, indent=2)` plus a newline). The
 # compact writer changed only whitespace, so re-indenting its output must
-# give these bytes again.
+# give these bytes again. Only per-agent artifacts are listed: the
+# experiments' JSON results have since become their CSV tables.
 INDENTED_DIGESTS = {
     "auction-beta22-perfect.json":
         "de5a00659d9326ba60f45b8b4c4d0e502aafd6003ea73a077e50835042010425",
     "auction-uniform-independent.json":
         "a06a6f973521cc97cf944a9c868b7b18cb8e3458a10c3663a1f2dcb9f1b11a7d",
-    "crosscheck-uniform.json":
-        "b0b8ea0c7eec26b21167dd1877bae4e9b442ee10399b6a8826a1dab0ed366a1b",
-    "deviation-beta22.json":
-        "295c595ddbbd85b2d8716e8bd3861f16bbcf8d4c898a67a97a8bc56caedc310a",
     "repeat-uniform-perfect.json":
         "f10cf63996062b337c69aa3499bda5df15bd2dd6a240720e874184d15f1d03c1",
     "reserve-beta22.json":
         "d588985f9af058381854962bd63abfb688094fe5f21dbd44ac9e3067b6921554",
-    "sweep-beta22-sparse.json":
-        "d209325b4abcaab5e29645d05e4ac3769288b3d044a82427f0e4b28b21fa2367",
-    "sweep-uniform.json":
-        "d6e4ff03fca51c455f337da865869d86451509d0f8ecd82dd4e19e208ee8fce6",
-    "validate-dist-beta22.json":
-        "878bc0417a47384e4b67bd81fc7c368cc60ac592947741e04029e3e4397992d4",
 }
 
 
@@ -179,4 +170,4 @@ def test_undefined_statistics_are_strict_json_nulls(tmp_path):
         raise ValueError(f"non-standard JSON constant {token}")
 
     results = json.loads(out.read_text(), parse_constant=refuse)["results"]
-    assert None in results["sira_mean_bid_se"]
+    assert None in results["se_bid"]

@@ -301,7 +301,7 @@ def test_edge_window_clearing_prices_run_to_success(family, p_eps, tmp_path):
         ]
     )
     assert code == cli.EXIT_OK
-    assert json.loads(dist_out.read_text(encoding="utf-8"))["results"]["ks_distance"] < 0.02
+    assert json.loads(dist_out.read_text(encoding="utf-8"))["summary"]["ks_distance"] < 0.02
     check_out = tmp_path / "x.json"
     code = _run(
         [
@@ -314,7 +314,40 @@ def test_edge_window_clearing_prices_run_to_success(family, p_eps, tmp_path):
         ]
     )
     assert code == cli.EXIT_OK
-    assert json.loads(check_out.read_text(encoding="utf-8"))["results"]["max_abs_diff"] <= 1e-12
+    assert json.loads(check_out.read_text(encoding="utf-8"))["summary"]["max_abs_diff"] <= 1e-12
+
+
+SCHEMA_RUNS = {
+    "deviation": [
+        "deviation", "--family", "beta22", "--deltas=-1,-0.5,0.1,1", "--n-opponents", "500",
+        "--seed", "2"
+    ],
+    "sweep": [
+        "sweep", "--family", "beta22", "--p-eps-grid", "0.7,0.8,0.999", "--n-agents", "20",
+        "--seed", "17"
+    ],
+    "validate-dist": ["validate-dist", "--n-samples", "2000", "--bins", "10", "--seed", "4"],
+    "crosscheck": ["crosscheck", "--v-p-grid", "0:0.5:5", "--p-eps-list", "0.3,0.6"],
+}
+# The paired per-agent uplift, one per grid point, which no sweep row gives.
+JSON_ONLY = {"sweep": {"participation_uplift", "participation_uplift_se"}}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_RUNS))
+def test_experiment_json_results_are_the_csv_columns(name, tmp_path):
+    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    for fmt, out in (("csv", csv_out), ("json", json_out)):
+        assert _run([*SCHEMA_RUNS[name], "--format", fmt, "--out", str(out)]) == cli.EXIT_OK
+    lines = [ln for ln in _read_lines(csv_out) if not ln.startswith("#")]
+    header = lines[0].split(",")
+    cells = zip(*(ln.split(",") for ln in lines[1:]))
+    results = json.loads(json_out.read_text(encoding="utf-8"))["results"]
+    assert set(results) == set(header) | JSON_ONLY.get(name, set())
+    for column, csv_cells in zip(header, cells):
+        values = results[column]
+        if not all(isinstance(v, str) for v in values):
+            values = ["nan" if v is None else "%.9g" % v for v in values]
+        assert values == list(csv_cells), column
 
 
 def test_repeat_json_round_trip(tmp_path):

@@ -3,6 +3,7 @@ distribution validation, and the two cross-checks."""
 
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,19 @@ def test_deviation_sweep_rejects_bad_deltas():
 def test_deviation_sweep_empty_grid_collapses_to_equilibrium():
     result = deviation_sweep(ValueFamily.UNIFORM, 0.5, PROBE, [], 100, seed=1)
     np.testing.assert_array_equal(result.deltas, [0.0])
+
+
+def test_deviation_sweep_memory_does_not_grow_with_the_grid():
+    def peak_bytes(n_deltas):
+        deltas = np.linspace(-0.5, 0.5, n_deltas)
+        tracemalloc.start()
+        try:
+            deviation_sweep(ValueFamily.UNIFORM, 0.5, PROBE, deltas, n_opponents=200_000, seed=6)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(31) <= 1.25 * peak_bytes(3)
 
 
 # ---------------------------------------------------------------------------
