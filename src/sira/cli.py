@@ -289,11 +289,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: Path, subcommand: str) -> dict[str, Any]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -558,7 +558,7 @@ def _handle_deviation(spec: RunSpec) -> Path:
         "delta": result.deltas,
         "mean_utility": result.mean_utility,
         "std_err": result.std_error,
-        "n_samples": np.full(result.deltas.size, result.n_opponents),
+        "n_samples": np.full(result.deltas.size, p["n_opponents"]),
         "bid": result.bids,
         "gap_vs_optimum": result.gap_vs_optimum,
         "gap_std_err": result.gap_std_error,

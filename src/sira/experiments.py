@@ -6,6 +6,11 @@ quantities are compared (deviated against undeviated bids, SIRA against
 reserve thresholding), the comparison uses common random numbers and
 the standard error of the paired difference, which is the quantity a
 significance check actually needs.
+
+A result holds what its run computed and the grid it was computed on;
+the arguments (family, clearing price, sample sizes, seed) stay with
+the caller. EquilibriumCrosscheck is the exception: it has no CLI
+config echo, so it keeps its inputs beside its statistics.
 """
 
 from __future__ import annotations
@@ -87,17 +92,12 @@ class DeviationSweepResult:
     optimum_index and has gap exactly 0.
     """
 
-    family: ValueFamily
-    p_eps: float
-    probe: AgentValuation
     deltas: np.ndarray
     bids: np.ndarray
     mean_utility: np.ndarray
     std_error: np.ndarray
     gap_vs_optimum: np.ndarray
     gap_std_error: np.ndarray
-    n_opponents: int
-    seed: int
 
     @property
     def optimum_index(self) -> int:
@@ -153,19 +153,7 @@ def deviation_sweep(
     sub = bids < p_eps
     mean[sub] = -bids[sub]
     se[sub] = 0.0
-    return DeviationSweepResult(
-        family=family,
-        p_eps=float(p_eps),
-        probe=probe,
-        deltas=grid,
-        bids=bids,
-        mean_utility=mean,
-        std_error=se,
-        gap_vs_optimum=gap,
-        gap_std_error=gap_se,
-        n_opponents=int(n_opponents),
-        seed=int(seed),
-    )
+    return DeviationSweepResult(grid, bids, mean, se, gap, gap_se)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +166,13 @@ class ThresholdSweepResult:
 
     Each grid point runs both engines on the same population draw, so
     participation_uplift is a paired per-agent difference (SIRA
-    participation implies reserve participation never exceeds it).
+    participation implies reserve participation never exceeds it). The
+    mean-bid uplift compares means over two different participant sets,
+    so it is derived from the per-mechanism columns: their difference,
+    with the two standard errors added in quadrature.
     """
 
-    family: ValueFamily
     p_eps: np.ndarray
-    n_agents: int
-    seed: int
     reserve_participation: np.ndarray
     reserve_participation_se: np.ndarray
     reserve_mean_bid: np.ndarray
@@ -195,8 +183,14 @@ class ThresholdSweepResult:
     sira_mean_bid_se: np.ndarray
     participation_uplift: np.ndarray
     participation_uplift_se: np.ndarray
-    mean_bid_uplift: np.ndarray
-    mean_bid_uplift_se: np.ndarray
+
+    @property
+    def mean_bid_uplift(self) -> np.ndarray:
+        return self.sira_mean_bid - self.reserve_mean_bid
+
+    @property
+    def mean_bid_uplift_se(self) -> np.ndarray:
+        return np.hypot(self.sira_mean_bid_se, self.reserve_mean_bid_se)
 
 
 def _mechanism_stats(participates: np.ndarray, bid: np.ndarray) -> tuple[float, ...]:
@@ -221,9 +215,7 @@ def _sweep_point(
     res_stats = _mechanism_stats(reserve.participates, reserve.bid)
     sira_stats = _mechanism_stats(sira.participates, sira.bid)
     paired = sira.participates.astype(float) - reserve.participates.astype(float)
-    bid_uplift = sira_stats[2] - res_stats[2]
-    bid_uplift_se = float(np.hypot(sira_stats[3], res_stats[3]))
-    return (*res_stats, *sira_stats, *_mean_se(paired), bid_uplift, bid_uplift_se)
+    return (*res_stats, *sira_stats, *_mean_se(paired))
 
 
 def threshold_sweep(
@@ -262,7 +254,7 @@ def threshold_sweep(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(evaluate, range(grid.size)))
     columns = (np.array(column) for column in zip(*rows))
-    return ThresholdSweepResult(family, grid, int(n_agents), int(seed), *columns)
+    return ThresholdSweepResult(grid, *columns)
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +265,6 @@ def threshold_sweep(
 class DistributionValidation:
     """Empirical premium-value histogram against the closed forms."""
 
-    family: ValueFamily
-    p_eps: float
-    n_samples: int
-    bins: int
-    seed: int
     table: EmpiricalDistribution
     analytic_density: np.ndarray
     analytic_cdf: np.ndarray
@@ -328,19 +315,7 @@ def validate_product_distribution(
             np.max(np.abs(cdf_at_points - (steps - 1.0 / n_samples))),
         )
     )
-    return DistributionValidation(
-        family=family,
-        p_eps=float(p_eps),
-        n_samples=int(n_samples),
-        bins=int(bins),
-        seed=int(seed),
-        table=table,
-        analytic_density=analytic_density,
-        analytic_cdf=analytic_cdf,
-        pdf_sup_error=pdf_sup,
-        cdf_sup_error=cdf_sup,
-        ks_distance=ks,
-    )
+    return DistributionValidation(table, analytic_density, analytic_cdf, pdf_sup, cdf_sup, ks)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +326,6 @@ def validate_product_distribution(
 class BidCrosscheck:
     """Closed-form equilibrium bids against the quadrature route."""
 
-    family: ValueFamily
     p_eps: np.ndarray
     v_p: np.ndarray
     closed_form: np.ndarray
@@ -379,14 +353,7 @@ def closed_form_vs_quadrature(
     for i, p in enumerate(p_grid.tolist()):
         closed[i] = sira_bid(family, v_grid, p)
         quad[i] = sira_bid_generic(PremiumValueDistribution(family, p).cdf, v_grid, p)
-    return BidCrosscheck(
-        family=family,
-        p_eps=p_grid,
-        v_p=v_grid,
-        closed_form=closed,
-        quadrature=quad,
-        max_abs_diff=float(np.max(np.abs(closed - quad))),
-    )
+    return BidCrosscheck(p_grid, v_grid, closed, quad, float(np.max(np.abs(closed - quad))))
 
 
 # ---------------------------------------------------------------------------

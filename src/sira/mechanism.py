@@ -32,6 +32,7 @@ from .seeding import (
     STREAM_TIES,
     STREAM_VALUATIONS,
     check_seed,
+    is_integer,
     substream,
 )
 from .strategy import (
@@ -66,18 +67,17 @@ class AuctionConfig:
     pairing: PairingMode = PairingMode.INDEPENDENT_OPPONENT
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_agents, int) or self.n_agents < 2:
-            raise ConfigError(f"n_agents must be an integer >= 2, got {self.n_agents}")
-        if not isinstance(self.rounds, int) or self.rounds < 1:
-            raise ConfigError(f"rounds must be an integer >= 1, got {self.rounds}")
+        for name, low in (("n_agents", 2), ("rounds", 1)):
+            value = getattr(self, name)
+            if not is_integer(value) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value}")
         try:
             check_p_eps(self.p_eps)
+            SafetyCostModel(self.gamma)
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
         if not isinstance(self.family, ValueFamily):
             raise ConfigError(f"family must be a ValueFamily, got {self.family!r}")
-        if not (self.gamma > 0.0) or not np.isfinite(self.gamma):
-            raise ConfigError(f"gamma must be a positive real, got {self.gamma}")
         check_seed(self.seed)
         if not isinstance(self.pairing, PairingMode):
             raise ConfigError(f"pairing must be a PairingMode, got {self.pairing!r}")
@@ -156,16 +156,17 @@ _AWARD_ROUND = {
 class AuctionReport:
     """Struct-of-arrays record of a full run.
 
-    Stores what the run draws (total_value, scaling_factor), what the
-    agents decide (the DecisionArrays columns) and what the contest
-    awards (won_by_round, rounds x agents); every other column and
-    aggregate is derived from these. accepted is participates, as every
-    participant's bid clears the price. value_by_round, the gross value
-    granted per round, and realized_utility, its column sum minus
-    bid_paid, are computed once, on first use.
+    Stores which engine ran (mechanism), what the run draws (total_value,
+    scaling_factor), what the agents decide (the DecisionArrays columns)
+    and what the contest awards (won_by_round, rounds x agents); every
+    other column and aggregate is derived from these. The AuctionConfig
+    stays with the caller; n_agents and rounds are read off the arrays.
+    accepted is participates, as every participant's bid clears the
+    price. value_by_round, the gross value granted per round, and
+    realized_utility, its column sum minus bid_paid, are computed once,
+    on first use.
     """
 
-    config: AuctionConfig
     mechanism: str
     total_value: np.ndarray
     scaling_factor: np.ndarray
@@ -259,7 +260,7 @@ def _reserve_from_population(
 ) -> AuctionReport:
     decision = reserve_decision_arrays(total - lam * total, config.p_eps, config.model)
     no_wins = np.zeros((1, total.size), dtype=bool)
-    return AuctionReport(config, RESERVE_THRESHOLD, total, lam, *decision, no_wins)
+    return AuctionReport(RESERVE_THRESHOLD, total, lam, *decision, no_wins)
 
 
 def _sira_decisions(
@@ -291,7 +292,7 @@ def _sira_from_population(
             substream(config.seed, STREAM_OPPONENTS, r),
             substream(config.seed, STREAM_TIES, r),
         )
-    return AuctionReport(config, SIRA, total, lam, *decision, won_by_round)
+    return AuctionReport(SIRA, total, lam, *decision, won_by_round)
 
 
 def run_sira(config: AuctionConfig) -> AuctionReport:

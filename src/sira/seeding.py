@@ -29,9 +29,14 @@ STREAM_EXPERIMENT = 3
 _SEED_MAX = 2**64
 
 
+def is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_seed(seed: int) -> int:
     """Validate that seed is a 64-bit unsigned integer and return it."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+    if not is_integer(seed):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < _SEED_MAX:
         raise ConfigError(f"seed out of range [0, 2**64): {seed}")

@@ -95,6 +95,19 @@ def test_config_file_integers_must_be_integral(tmp_path):
     assert cli.parse_run_spec(["auction", "--config", str(cfg)]).params["n_agents"] == 1000
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_unreadable_config_file_exits_usage(content, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(content)
+    argv = ["auction", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]
+    assert _run(argv) == cli.EXIT_USAGE
+    assert str(cfg) in capsys.readouterr().err
+
+
 def test_config_file_subcommand_mismatch(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"subcommand": "sweep"}))

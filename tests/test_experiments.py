@@ -155,6 +155,15 @@ def test_threshold_sweep_workers_do_not_change_results():
     )
 
 
+def test_threshold_sweep_takes_a_numpy_population_size():
+    grid = [0.25, 0.5]
+    plain = threshold_sweep(ValueFamily.UNIFORM, grid, n_agents=1000, seed=9)
+    numpy_sized = threshold_sweep(ValueFamily.UNIFORM, grid, n_agents=np.int64(1000), seed=9)
+    for field in dataclasses.fields(plain):
+        np.testing.assert_array_equal(getattr(numpy_sized, field.name),
+                                      getattr(plain, field.name))
+
+
 def test_threshold_sweep_bounds_its_thread_pool(monkeypatch):
     sizes = []
 

@@ -152,12 +152,24 @@ def test_config_validation():
         _config(p_eps=0.0)
     with pytest.raises(ConfigError):
         _config(p_eps=1.0)
-    with pytest.raises(ConfigError):
-        _config(gamma=0.0)
+    for gamma in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="gamma must be a positive real"):
+            _config(gamma=gamma)
     with pytest.raises(ConfigError):
         _config(rounds=0)
     with pytest.raises(ConfigError):
         _config(seed=-1)
+
+
+@pytest.mark.parametrize("field, low", [("n_agents", 2), ("rounds", 1)])
+def test_config_counts_take_numpy_integers_and_reject_bools(field, low):
+    assert getattr(_config(**{field: np.int64(100)}), field) == 100
+    assert getattr(_config(**{field: np.uint32(low)}), field) == low
+    for flag in (True, False, np.True_):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer >= {low}"):
+            _config(**{field: flag})
+    with pytest.raises(ConfigError, match=f"{field} must be an integer >= {low}"):
+        _config(**{field: float(low)})
 
 
 def test_config_model_property():
