@@ -11,7 +11,11 @@ per-agent CSV and JSON long enough to be written in more than one block
 of rows, including a two-round JSON whose per-round arrays are written
 row by row. Two crosschecks at the benchmark's size (1000 premium values
 by 9 prices) pin the quadrature route: Beta(2, 2) across [0.1, 0.9] and
-uniform across the edge window [0.999, 1 - 1e-6].
+uniform across the edge window [0.999, 1 - 1e-6]. The premium
+distribution's branch split is pinned on the paths that evaluate it over
+a population: a uniform deviation, a uniform validation at a clearing
+price in the edge window, and a 17-point Beta(2, 2) sweep whose points
+run in two threads.
 """
 
 import hashlib
@@ -44,6 +48,9 @@ RUNS = {
         "repeat", "--family", "uniform", "--pairing", "perfect", "--rounds", "3",
         "--n-agents", "101", "--p-eps", "0.5", "--seed", "14"
     ],
+    "deviation-uniform": [
+        "deviation", "--family", "uniform", "--n-opponents", "5000", "--seed", "23"
+    ],
     "deviation-beta22": [
         "deviation", "--family", "beta22", "--p-eps", "0.5",
         "--deltas=-1,-0.5,-0.1,0.1,0.5,1", "--n-opponents", "2000", "--seed", "15"
@@ -55,6 +62,14 @@ RUNS = {
     "sweep-beta22-sparse": [
         "sweep", "--family", "beta22", "--p-eps-grid", "0.7,0.8,0.999", "--n-agents",
         "20", "--seed", "17"
+    ],
+    "sweep-beta22-workers": [
+        "sweep", "--family", "beta22", "--p-eps-grid", "0.1:0.9:17", "--n-agents",
+        "2000", "--seed", "25", "--workers", "2"
+    ],
+    "validate-dist-uniform-edge": [
+        "validate-dist", "--family", "uniform", "--p-eps", "0.9995", "--n-samples",
+        "5000", "--bins", "20", "--seed", "24"
     ],
     "validate-dist-beta22": [
         "validate-dist", "--family", "beta22", "--p-eps", "0.4", "--n-samples", "5000",
@@ -103,6 +118,8 @@ DIGESTS = {
         "0b216d8f917eab01802535d5d2a6bebba579f145187233499407e6b539845b8e",
     "deviation-beta22.json":
         "9749757f60980181e5e361f5d1d669b500efd3711c2e7d96849298d8b301112d",
+    "deviation-uniform.json":
+        "cc7fd5036e0de0311e6b30b908bb18f3d9689e543c08bf8c3f4745c3e718f898",
     "repeat-uniform-blocks.json":
         "a5c610b0b1fe5ad67a151e6c16c315fc07869d0d8403d93b955c3c192e40ff15",
     "repeat-uniform-perfect.csv":
@@ -117,6 +134,8 @@ DIGESTS = {
         "294b481267604a987dda7d5ca8493c352ed3f94759f7c57d69873d06f1ce40d4",
     "sweep-beta22-sparse.json":
         "5f35993d48907d34661510f69ec38b5b7a7fe89e35f81cf10d532b1ddff32f20",
+    "sweep-beta22-workers.json":
+        "91ff58032d9d7f8c2c57e11e1c67b0f9f82cb0cef2d31b19d70d4381c0d07b63",
     "sweep-uniform.csv":
         "63d62c9bdda2442512f567061e8b323b5eeb90fefb7ec7a24f5d342bf19a7d93",
     "sweep-uniform.json":
@@ -125,6 +144,8 @@ DIGESTS = {
         "38822e00c4b942134bd477fc7d9be5e26af447e9ee4159afceef07833489a7e6",
     "validate-dist-beta22.json":
         "c5e53ff21ef237118c3dd2f4fe6310ea3da3df6425051f51f704bff7d41b916e",
+    "validate-dist-uniform-edge.json":
+        "c643b1e5a5d7247746fc1ec5124e0296378fd37a1dc35eba4a056793eb20188f",
 }
 
 # Digests of the JSON artifacts as the indented writer wrote them

@@ -2,6 +2,7 @@
 distribution validation, and the two cross-checks."""
 
 import dataclasses
+import hashlib
 import os
 import tracemalloc
 
@@ -274,6 +275,21 @@ def test_equilibrium_crosscheck_deterministic():
     b = equilibrium_crosscheck(ValueFamily.UNIFORM, 0.5, 0.3, 0.02, 50_000, seed=11)
     assert a.gap == b.gap
     assert a.gap_se == b.gap_se
+
+
+# sha256 of repr((mean_realized, mean_predicted, gap, gap_se)) for a
+# bucket straddling the breakpoint p_eps / 2 = 0.25.
+CROSSCHECK_DIGESTS = {
+    ValueFamily.UNIFORM: "abec1d268d66e28fab6e7dce0416d25d37cfb70419c5f08c252c925ce091aea5",
+    ValueFamily.BETA22: "ee3d599a3eb18a590f6b722187ea6a1b2b1bf33753ca7a8ee3ab33cf512595ce",
+}
+
+
+@pytest.mark.parametrize("family", list(ValueFamily))
+def test_equilibrium_crosscheck_statistics_are_pinned(family):
+    r = equilibrium_crosscheck(family, 0.5, 0.25, 0.02, 20_000, seed=26)
+    stats = repr((r.mean_realized, r.mean_predicted, r.gap, r.gap_se))
+    assert hashlib.sha256(stats.encode()).hexdigest() == CROSSCHECK_DIGESTS[family]
 
 
 def test_equilibrium_crosscheck_rejects_bad_bucket():
