@@ -29,7 +29,7 @@ from .mechanism import (
     _sira_decisions,
     beats,
 )
-from .seeding import STREAM_EXPERIMENT, child_seed, substream
+from .seeding import STREAM_EXPERIMENT, child_seed, is_integer, substream
 from .strategy import (
     cap_bid,
     check_p_eps,
@@ -122,8 +122,8 @@ def deviation_sweep(
     always includes delta = 0.
     """
     check_p_eps(p_eps)
-    if n_opponents < 2:
-        raise DomainError(f"n_opponents must be at least 2, got {n_opponents}")
+    if not is_integer(n_opponents) or n_opponents < 2:
+        raise DomainError(f"n_opponents must be an integer >= 2, got {n_opponents!r}")
     grid = np.unique(np.append(np.asarray(deltas, dtype=float), 0.0))
     if not np.all((grid >= -1.0) & (grid <= 1.0)):
         raise DomainError("deviation fractions must be finite and lie in [-1, 1]")
@@ -195,7 +195,7 @@ class ThresholdSweepResult:
 
 def _mechanism_stats(participates: np.ndarray, bid: np.ndarray) -> tuple[float, ...]:
     """Participation rate and mean participant bid, each with its standard error."""
-    return (*_mean_se(participates), *_mean_se(bid[participates]))
+    return (*_mean_se(participates), *_mean_se(bid[np.flatnonzero(participates)]))
 
 
 def _sweep_point(
@@ -291,8 +291,8 @@ def validate_product_distribution(
     comparison uses every bin.
     """
     check_p_eps(p_eps)
-    if n_samples < 2:
-        raise DomainError(f"n_samples must be at least 2, got {n_samples}")
+    if not is_integer(n_samples) or n_samples < 2:
+        raise DomainError(f"n_samples must be an integer >= 2, got {n_samples!r}")
     rng = substream(seed, STREAM_EXPERIMENT, _EXP_VALIDATE, 0)
     totals, lams = sample_valuations(family, rng, n_samples, lower=p_eps)
     products = lams * totals
@@ -398,8 +398,8 @@ def equilibrium_crosscheck(
     same probes, as a paired difference.
     """
     check_p_eps(p_eps)
-    if n_pairings < 2:
-        raise DomainError(f"n_pairings must be at least 2, got {n_pairings}")
+    if not is_integer(n_pairings) or n_pairings < 2:
+        raise DomainError(f"n_pairings must be an integer >= 2, got {n_pairings!r}")
     if not (0.0 < bucket_halfwidth <= PREMIUM_MAX):
         raise DomainError(f"bucket_halfwidth must be positive, got {bucket_halfwidth}")
     lo = bucket_center - bucket_halfwidth

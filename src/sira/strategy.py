@@ -76,8 +76,8 @@ def _bid_and_cdf(family: ValueFamily, v_p, p_eps):
     """Uncapped equilibrium bid at v_p and the premium cdf F_v(v_p) it used."""
     p_eps = check_p_eps(p_eps)
     dist = PremiumValueDistribution(family=family, p_eps=p_eps)
-    cdf = dist.cdf(v_p)
-    return p_eps + v_p * cdf - dist.cdf_integral(v_p), cdf
+    cdf, integral = dist.cdf_and_integral(v_p)
+    return p_eps + v_p * cdf - integral, cdf
 
 
 def sira_bid(family: ValueFamily, v_p, p_eps):

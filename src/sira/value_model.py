@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericalError
+from .seeding import is_integer
 
 PREMIUM_MAX = 0.5
 _CLAMP_TOL = 1e-14
@@ -100,7 +101,7 @@ def beta22_ppf(q):
     if not np.all((q_arr >= 0.0) & (q_arr <= 1.0)):
         raise DomainError("quantile outside [0, 1]")
     upper = q_arr > 0.5
-    phi = (2.0 / 3.0) * np.arcsin(np.sqrt(np.where(upper, 1.0 - q_arr, q_arr)))
+    phi = (2.0 / 3.0) * np.arcsin(np.sqrt(np.minimum(q_arr, 1.0 - q_arr)))
     h = np.sin(0.5 * phi) ** 2 + _HALF_SQRT3 * np.sin(phi)
     x = np.where(upper, 1.0 - h, h)
     return float(x) if scalar else x
@@ -275,15 +276,15 @@ PREMIUM_BRANCHES: dict[ValueFamily, dict[str, _BranchPair]] = {
 
 
 def _clamped(values: np.ndarray, lo: float | None, hi: float | None, what: str) -> np.ndarray:
-    """Absorb round-off up to 1e-14 outside the valid range, else fail."""
+    """Absorb round-off up to 1e-14 outside the valid range in place, else fail."""
     if lo is not None:
         if np.any(values < lo - _CLAMP_TOL):
             raise NumericalError(f"{what} fell below {lo} beyond round-off")
-        values = np.maximum(values, lo)
+        np.maximum(values, lo, out=values)
     if hi is not None:
         if np.any(values > hi + _CLAMP_TOL):
             raise NumericalError(f"{what} rose above {hi} beyond round-off")
-        values = np.minimum(values, hi)
+        np.minimum(values, hi, out=values)
     return values
 
 
@@ -292,8 +293,8 @@ class PremiumValueDistribution:
     """Distribution of the premium value v_p = lambda * V of a participant.
 
     V follows the family conditioned on [p_eps, 1] and lambda is uniform
-    on [0, 1/2]. All three evaluators are piecewise with the single
-    breakpoint p_eps / 2 and accept scalars or arrays on [0, 1/2].
+    on [0, 1/2]. Every evaluator is piecewise with the single
+    breakpoint p_eps / 2 and accepts scalars or arrays on [0, 1/2].
     """
 
     family: ValueFamily
@@ -309,32 +310,42 @@ class PremiumValueDistribution:
     def breakpoint(self) -> float:
         return self.p_eps / 2.0
 
-    def _eval(self, y, kind: str, lo: float | None, hi: float | None):
+    def _eval(self, y, **ranges: tuple[float | None, float | None]) -> tuple:
+        """Each named kind's branch pair at y, clamped to its (lo, hi) range.
+
+        y is split at the breakpoint once; both sides are gathered and
+        scattered by integer index, far cheaper than by a mixed boolean mask.
+        """
         scalar = np.isscalar(y)
         arr = np.atleast_1d(np.asarray(y, dtype=float))
         if not np.all((arr >= 0.0) & (arr <= PREMIUM_MAX)):
             raise DomainError(f"premium value outside [0, {PREMIUM_MAX}]")
-        fn_lo, fn_hi = PREMIUM_BRANCHES[self.family][kind]
-        p = self.p_eps
-        out = np.piecewise(
-            arr,
-            [arr <= self.breakpoint],
-            [lambda t: fn_lo(t, p), lambda t: fn_hi(t, p)],
-        )
-        out = _clamped(out, lo, hi, f"premium {kind}")
-        return float(out[0]) if scalar else out
+        below = arr <= self.breakpoint
+        sides = [(idx, arr[idx]) for idx in (np.nonzero(below), np.nonzero(~below))]
+        outs = []
+        for kind, (lo, hi) in ranges.items():
+            out = np.empty_like(arr)
+            for (idx, side), fn in zip(sides, PREMIUM_BRANCHES[self.family][kind]):
+                out[idx] = fn(side, self.p_eps)
+            out = _clamped(out, lo, hi, f"premium {kind}")
+            outs.append(float(out[0]) if scalar else out)
+        return tuple(outs)
 
     def pdf(self, y):
         """Density f_v(y) of the premium value."""
-        return self._eval(y, "pdf", 0.0, None)
+        return self._eval(y, pdf=(0.0, None))[0]
 
     def cdf(self, y):
         """Distribution function F_v(y) of the premium value."""
-        return self._eval(y, "cdf", 0.0, 1.0)
+        return self._eval(y, cdf=(0.0, 1.0))[0]
 
     def cdf_integral(self, y):
         """Running integral of F_v from 0 to y."""
-        return self._eval(y, "cdf_integral", 0.0, None)
+        return self._eval(y, cdf_integral=(0.0, None))[0]
+
+    def cdf_and_integral(self, y):
+        """F_v(y) and its running integral, from one split of y."""
+        return self._eval(y, cdf=(0.0, 1.0), cdf_integral=(0.0, None))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +378,8 @@ def empirical_pdf_cdf(samples, bins: int) -> EmpiricalDistribution:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("samples must be a non-empty one-dimensional collection")
-    if bins < 10:
-        raise DomainError(f"bins must be at least 10, got {bins}")
+    if not is_integer(bins) or bins < 10:
+        raise DomainError(f"bins must be an integer >= 10, got {bins!r}")
     if not np.all((arr >= 0.0) & (arr <= PREMIUM_MAX)):
         raise DomainError(f"samples outside [0, {PREMIUM_MAX}]")
     counts, edges = np.histogram(arr, bins=bins, range=(0.0, PREMIUM_MAX))

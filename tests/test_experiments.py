@@ -234,6 +234,39 @@ def test_validate_product_distribution_rejects_tiny_sample():
 
 
 # ---------------------------------------------------------------------------
+# Sample sizes
+
+UNIFORM = ValueFamily.UNIFORM
+# Each library sample size or bin count: a call with that argument set to
+# n, returning one statistic of the result.
+_COUNTS = {
+    "n_opponents": lambda n: deviation_sweep(
+        UNIFORM, 0.5, PROBE, DELTAS, n, seed=1
+    ).mean_utility,
+    "n_samples": lambda n: validate_product_distribution(
+        UNIFORM, 0.5, n, 20, seed=1
+    ).ks_distance,
+    "bins": lambda n: validate_product_distribution(
+        UNIFORM, 0.5, 2000, n, seed=1
+    ).analytic_cdf,
+    "n_pairings": lambda n: equilibrium_crosscheck(UNIFORM, 0.5, 0.3, 0.02, n, seed=1).gap,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTS))
+@pytest.mark.parametrize("n", [np.int64(200), np.int32(200), np.uint16(200)])
+def test_sample_sizes_take_numpy_integers(name, n):
+    np.testing.assert_array_equal(_COUNTS[name](n), _COUNTS[name](200))
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTS))
+@pytest.mark.parametrize("n", [200.0, 2.5, np.float64(200.0), True])
+def test_sample_sizes_must_be_integers(name, n):
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        _COUNTS[name](n)
+
+
+# ---------------------------------------------------------------------------
 # Bid cross-check
 
 

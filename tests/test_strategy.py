@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sira.errors import DomainError
+from sira.errors import DomainError, NumericalError
 from sira.seeding import substream
 from sira.strategy import (
     BidDecision,
@@ -21,6 +21,7 @@ from sira.strategy import (
 )
 from sira.experiments import closed_form_vs_quadrature
 from sira.value_model import (
+    PREMIUM_BRANCHES,
     PREMIUM_MAX,
     AgentValuation,
     PremiumValueDistribution,
@@ -108,6 +109,7 @@ _NAN_INPUTS = {
     "pdf": _DIST.pdf,
     "cdf": _DIST.cdf,
     "cdf_integral": _DIST.cdf_integral,
+    "cdf_and_integral": _DIST.cdf_and_integral,
     "beta22_ppf": beta22_ppf,
     "cap_bid": cap_bid,
     "price_of_safety": SafetyCostModel().price_of_safety,
@@ -124,6 +126,34 @@ _NAN_INPUTS = {
 def test_range_checks_reject_nan(name, as_array):
     with pytest.raises(DomainError):
         _NAN_INPUTS[name](np.array([0.2, _NAN]) if as_array else _NAN)
+
+
+@pytest.mark.parametrize(
+    "name", ["sira_bid", "pdf", "cdf", "cdf_integral", "cdf_and_integral"]
+)
+@pytest.mark.parametrize("premium", [-1e-300, np.nextafter(PREMIUM_MAX, 1.0), 0.75])
+def test_premium_outside_its_range_is_a_domain_error(name, premium):
+    with pytest.raises(DomainError):
+        _NAN_INPUTS[name](premium)
+    with pytest.raises(DomainError):
+        _NAN_INPUTS[name](np.array([0.1, 0.4, premium]))
+
+
+@pytest.mark.parametrize("family", list(ValueFamily))
+@pytest.mark.parametrize("side", [0, 1])
+def test_cdf_beyond_roundoff_is_a_numerical_error(monkeypatch, family, side):
+    # One branch of the cdf returns 1 + 1e-9: the clamp must refuse it on
+    # the standalone cdf and on the fused path the bid takes.
+    branches = list(PREMIUM_BRANCHES[family]["cdf"])
+    branches[side] = lambda y, p: np.full_like(y, 1.0 + 1e-9)
+    monkeypatch.setitem(PREMIUM_BRANCHES[family], "cdf", tuple(branches))
+    y = 0.1 if side == 0 else 0.4
+    dist = PremiumValueDistribution(family, 0.5)
+    for evaluate in (dist.cdf, dist.cdf_and_integral, lambda v: sira_bid(family, v, 0.5)):
+        with pytest.raises(NumericalError, match="premium cdf rose above 1"):
+            evaluate(y)
+        with pytest.raises(NumericalError, match="premium cdf rose above 1"):
+            evaluate(np.array([0.1, 0.4]))
 
 
 # ---------------------------------------------------------------------------

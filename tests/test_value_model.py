@@ -316,6 +316,78 @@ def test_cdf_scalar_matches_vector_path():
             np.testing.assert_array_equal(got, dist.cdf(ys), err_msg=f"{family} {p_eps}")
 
 
+_RANGES = {"pdf": (0.0, None), "cdf": (0.0, 1.0), "cdf_integral": (0.0, None)}
+
+
+def _piecewise_reference(dist, y, kind):
+    """One evaluator written with np.piecewise: a boolean gather and
+    scatter per branch, then the same clamp."""
+    scalar = np.isscalar(y)
+    arr = np.atleast_1d(np.asarray(y, dtype=float))
+    fn_lo, fn_hi = PREMIUM_BRANCHES[dist.family][kind]
+    p = dist.p_eps
+    out = np.piecewise(
+        arr, [arr <= dist.breakpoint], [lambda t: fn_lo(t, p), lambda t: fn_hi(t, p)]
+    )
+    out = _clamped(out, *_RANGES[kind], kind)
+    return float(out[0]) if scalar else out
+
+
+def _assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_array_equal(
+        np.asarray(got, dtype=float).view(np.int64), np.asarray(want, dtype=float).view(np.int64)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(ValueFamily),
+    p_eps=st.floats(1e-6, 1.0 - 1e-6),
+    ys=st.lists(st.floats(0.0, PREMIUM_MAX), max_size=40),
+)
+@example(family=ValueFamily.UNIFORM, p_eps=1e-6, ys=[])
+@example(family=ValueFamily.BETA22, p_eps=1.0 - 1e-6, ys=[0.25])
+def test_split_evaluation_matches_piecewise_bit_for_bit(family, p_eps, ys):
+    dist = PremiumValueDistribution(family, p_eps)
+    cut = dist.breakpoint
+    edges = [0.0, cut, np.nextafter(cut, 0.0), np.nextafter(cut, 1.0), PREMIUM_MAX]
+    mixed = np.array(ys + edges)
+    inputs = [
+        mixed,
+        mixed[mixed <= cut],  # all below
+        mixed[mixed > cut],  # all above
+        np.array([]),
+        np.array(ys[0] if ys else cut),  # 0-d
+        np.stack([mixed, mixed[::-1]]),  # 2-d
+        *edges,  # scalars
+    ]
+    for y in inputs:
+        for kind in _RANGES:
+            _assert_same_bits(getattr(dist, kind)(y), _piecewise_reference(dist, y, kind))
+        cdf, integral = dist.cdf_and_integral(y)
+        _assert_same_bits(cdf, _piecewise_reference(dist, y, "cdf"))
+        _assert_same_bits(integral, _piecewise_reference(dist, y, "cdf_integral"))
+
+
+def _beta22_ppf_where_reference(q):
+    """beta22_ppf with the lower-half quantile chosen by np.where."""
+    upper = q > 0.5
+    phi = (2.0 / 3.0) * np.arcsin(np.sqrt(np.where(upper, 1.0 - q, q)))
+    h = np.sin(0.5 * phi) ** 2 + 0.5 * math.sqrt(3.0) * np.sin(phi)
+    return np.where(upper, 1.0 - h, h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(qs=st.lists(st.floats(0.0, 1.0), max_size=40))
+def test_beta22_ppf_matches_where_form_bit_for_bit(qs):
+    q = np.array(qs + [0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1.0])
+    _assert_same_bits(beta22_ppf(q), _beta22_ppf_where_reference(q))
+    for x in q.tolist():
+        _assert_same_bits(beta22_ppf(x), float(_beta22_ppf_where_reference(np.array(x))))
+
+
 def test_premium_distribution_matches_simulated_products():
     # Kolmogorov-Smirnov distance between simulated lambda * V products
     # and the derived distribution function.
