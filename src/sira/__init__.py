@@ -15,13 +15,11 @@ from .quadrature import adaptive_simpson
 from .value_model import (
     PREMIUM_MAX,
     AgentValuation,
-    EmpiricalDistribution,
     PremiumValueDistribution,
     SafetyCostModel,
     ValueFamily,
     beta22_cdf,
     beta22_ppf,
-    empirical_pdf_cdf,
     sample_scaling_factors,
     sample_total_values,
     sample_valuations,
@@ -71,13 +69,11 @@ __all__ = [
     "SafetyCostModel",
     "AgentValuation",
     "PremiumValueDistribution",
-    "EmpiricalDistribution",
     "beta22_cdf",
     "beta22_ppf",
     "sample_total_values",
     "sample_scaling_factors",
     "sample_valuations",
-    "empirical_pdf_cdf",
     "P_EPS_MIN",
     "P_EPS_MAX",
     "BidDecision",

@@ -616,13 +616,12 @@ def _handle_validate_dist(spec: RunSpec) -> Path:
         "cdf_sup_error": result.cdf_sup_error,
         "ks_distance": result.ks_distance,
     }
-    table = result.table
     columns = {
-        "bin_center": table.centers,
-        "bin_right_edge": table.right_edges,
-        "empirical_pdf": table.density,
+        "bin_center": result.centers,
+        "bin_right_edge": result.right_edges,
+        "empirical_pdf": result.density,
         "analytic_pdf": result.analytic_density,
-        "empirical_cdf": table.cumulative,
+        "empirical_cdf": result.cumulative,
         "analytic_cdf": result.analytic_cdf,
     }
     return _emit(spec, summary, columns)

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .mechanism import (
-    AuctionConfig,
-    _draw_population,
-    _reserve_from_population,
-    _sira_decisions,
-    beats,
-)
+from .mechanism import AuctionConfig, _draw_population, _reserve_from_population, beats
 from .seeding import STREAM_EXPERIMENT, child_seed, is_integer, substream
 from .strategy import (
     cap_bid,
@@ -37,15 +31,14 @@ from .strategy import (
     realized_utilities,
     sira_bid,
     sira_bid_generic,
+    sira_decision_arrays,
     submitted_bid,
 )
 from .value_model import (
     PREMIUM_MAX,
     AgentValuation,
-    EmpiricalDistribution,
     PremiumValueDistribution,
     ValueFamily,
-    empirical_pdf_cdf,
     sample_scaling_factors,
     sample_total_values,
     sample_valuations,
@@ -64,10 +57,10 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-def _equilibrium_pool(
+def _equilibrium_bids(
     family: ValueFamily, p_eps: float, size: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw participants' valuations and equilibrium bids.
+) -> np.ndarray:
+    """Draw participants' valuations and return their equilibrium bids.
 
     Totals are conditioned on [p_eps, 1]: only agents whose value
     clears the threshold ever enter a comparison, and the premium-value
@@ -75,8 +68,7 @@ def _equilibrium_pool(
     """
     totals = sample_total_values(family, rng, size, lower=p_eps)
     lams = sample_scaling_factors(rng, size)
-    premiums = lams * totals
-    return totals, lams, submitted_bid(family, premiums, p_eps)
+    return submitted_bid(family, lams * totals, p_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +121,7 @@ def deviation_sweep(
         raise DomainError("deviation fractions must be finite and lie in [-1, 1]")
 
     pool_rng = substream(seed, STREAM_EXPERIMENT, _EXP_DEVIATION, 0)
-    _, _, opp_bids = _equilibrium_pool(family, p_eps, n_opponents, pool_rng)
+    opp_bids = _equilibrium_bids(family, p_eps, n_opponents, pool_rng)
     tie_rng = substream(seed, STREAM_EXPERIMENT, _EXP_DEVIATION, 1)
     coins = tie_rng.random(n_opponents) < 0.5
 
@@ -211,7 +203,7 @@ def _sweep_point(
     )
     total, lam = _draw_population(config)
     reserve = _reserve_from_population(config, total, lam)
-    sira = _sira_decisions(config, total, lam)
+    sira = sira_decision_arrays(total, lam, p_eps, family, config.model)
     res_stats = _mechanism_stats(reserve.participates, reserve.bid)
     sira_stats = _mechanism_stats(sira.participates, sira.bid)
     paired = sira.participates.astype(float) - reserve.participates.astype(float)
@@ -263,14 +255,29 @@ def threshold_sweep(
 
 @dataclass(frozen=True, eq=False)
 class DistributionValidation:
-    """Empirical premium-value histogram against the closed forms."""
+    """Histogram of the drawn premium values against the closed forms.
 
-    table: EmpiricalDistribution
+    The draw is binned in equal-width bins over [0, 1/2]: density is the
+    count per sample and unit width, and cumulative, the empirical cdf at
+    the right bin edges, ends at exactly 1.
+    """
+
+    bin_edges: np.ndarray
+    density: np.ndarray
+    cumulative: np.ndarray
     analytic_density: np.ndarray
     analytic_cdf: np.ndarray
     pdf_sup_error: float
     cdf_sup_error: float
     ks_distance: float
+
+    @property
+    def centers(self) -> np.ndarray:
+        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
+
+    @property
+    def right_edges(self) -> np.ndarray:
+        return self.bin_edges[1:]
 
 
 def validate_product_distribution(
@@ -282,8 +289,8 @@ def validate_product_distribution(
 ) -> DistributionValidation:
     """Monte Carlo check of the derived premium-value distribution.
 
-    Draws scaling factors against totals conditioned on [p_eps, 1],
-    bins the products, and reports sup errors of the histogram density
+    Checks n_samples and bins, then draws scaling factors against totals
+    conditioned on [p_eps, 1], bins the products, and reports sup errors of the histogram density
     (at bin centers) and empirical cdf (at right edges) against the
     closed forms, plus the exact Kolmogorov-Smirnov distance. The
     density comparison skips the bins adjacent to the breakpoint
@@ -291,20 +298,24 @@ def validate_product_distribution(
     comparison uses every bin.
     """
     check_p_eps(p_eps)
-    if not is_integer(n_samples) or n_samples < 2:
-        raise DomainError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    for name, value, low in (("n_samples", n_samples, 2), ("bins", bins, 10)):
+        if not is_integer(value) or value < low:
+            raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
     rng = substream(seed, STREAM_EXPERIMENT, _EXP_VALIDATE, 0)
     totals, lams = sample_valuations(family, rng, n_samples, lower=p_eps)
     products = lams * totals
 
-    table = empirical_pdf_cdf(products, bins)
-    dist = PremiumValueDistribution(family=family, p_eps=p_eps)
-    analytic_density = dist.pdf(table.centers)
-    analytic_cdf = dist.cdf(table.right_edges)
+    counts, edges = np.histogram(products, bins=bins, range=(0.0, PREMIUM_MAX))
     width = PREMIUM_MAX / bins
-    interior = np.abs(table.centers - dist.breakpoint) > width
-    pdf_sup = float(np.max(np.abs(table.density - analytic_density)[interior]))
-    cdf_sup = float(np.max(np.abs(table.cumulative - analytic_cdf)))
+    density = counts / (n_samples * width)
+    cumulative = np.cumsum(counts) / n_samples
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    dist = PremiumValueDistribution(family=family, p_eps=p_eps)
+    analytic_density = dist.pdf(centers)
+    analytic_cdf = dist.cdf(edges[1:])
+    interior = np.abs(centers - dist.breakpoint) > width
+    pdf_sup = float(np.max(np.abs(density - analytic_density)[interior]))
+    cdf_sup = float(np.max(np.abs(cumulative - analytic_cdf)))
 
     ordered = np.sort(products)
     cdf_at_points = dist.cdf(ordered)
@@ -315,7 +326,9 @@ def validate_product_distribution(
             np.max(np.abs(cdf_at_points - (steps - 1.0 / n_samples))),
         )
     )
-    return DistributionValidation(table, analytic_density, analytic_cdf, pdf_sup, cdf_sup, ks)
+    return DistributionValidation(
+        edges, density, cumulative, analytic_density, analytic_cdf, pdf_sup, cdf_sup, ks
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +421,7 @@ def equilibrium_crosscheck(
         raise DomainError(f"bucket [{lo}, {hi}] outside [0, {PREMIUM_MAX}]")
 
     pool_rng = substream(seed, STREAM_EXPERIMENT, _EXP_EQ_CHECK, 0)
-    _, _, opp_bids = _equilibrium_pool(family, p_eps, n_pairings, pool_rng)
+    opp_bids = _equilibrium_bids(family, p_eps, n_pairings, pool_rng)
 
     probe_rng = substream(seed, STREAM_EXPERIMENT, _EXP_EQ_CHECK, 1)
     dist = PremiumValueDistribution(family=family, p_eps=p_eps)

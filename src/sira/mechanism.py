@@ -6,6 +6,8 @@ participant at the clearing price and awards no premium. The SIRA
 engine additionally runs the all-pay premium contest: accepted agents
 are paired, the higher bid in a comparison wins the premium, ties fall
 to a fair coin, and every submitted bid is sunk whether or not it wins.
+Every participant is accepted: the SIRA decision kernel raises
+NumericalError if a participant's bid falls below the clearing price.
 
 Payments are sunk once. In the repeated engine the bid is unchanged
 across rounds and the regulator prices cumulative safety, so no
@@ -26,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import ConfigError, DomainError
 from .seeding import (
     STREAM_OPPONENTS,
     STREAM_TIES,
@@ -35,12 +37,7 @@ from .seeding import (
     is_integer,
     substream,
 )
-from .strategy import (
-    DecisionArrays,
-    check_p_eps,
-    reserve_decision_arrays,
-    sira_decision_arrays,
-)
+from .strategy import check_p_eps, reserve_decision_arrays, sira_decision_arrays
 from .value_model import SafetyCostModel, ValueFamily, sample_valuations
 
 RESERVE_THRESHOLD = "reserve-threshold"
@@ -162,9 +159,9 @@ class AuctionReport:
     other column and aggregate is derived from these. The AuctionConfig
     stays with the caller; n_agents and rounds are read off the arrays.
     accepted is participates, as every participant's bid clears the
-    price. value_by_round, the gross value granted per round, and
-    realized_utility, its column sum minus bid_paid, are computed once,
-    on first use.
+    price (the decision kernels guarantee it). value_by_round, the gross
+    value granted per round, and realized_utility, its column sum minus
+    bid_paid, are computed once, on first use.
     """
 
     mechanism: str
@@ -263,25 +260,10 @@ def _reserve_from_population(
     return AuctionReport(RESERVE_THRESHOLD, total, lam, *decision, no_wins)
 
 
-def _sira_decisions(
-    config: AuctionConfig, total: np.ndarray, lam: np.ndarray
-) -> DecisionArrays:
-    """The SIRA strategy over a population, with every participant accepted.
-
-    The equilibrium bid never falls below the clearing price, and the cap
-    at 1 lies above it, so a participant bidding below the price is a
-    numerical failure.
-    """
-    decision = sira_decision_arrays(total, lam, config.p_eps, config.family, config.model)
-    if np.any(decision.participates & (decision.bid < config.p_eps)):
-        raise NumericalError("a participant's bid fell below the clearing price")
-    return decision
-
-
 def _sira_from_population(
     config: AuctionConfig, total: np.ndarray, lam: np.ndarray, rounds: int
 ) -> AuctionReport:
-    decision = _sira_decisions(config, total, lam)
+    decision = sira_decision_arrays(total, lam, config.p_eps, config.family, config.model)
     accepted_index = np.flatnonzero(decision.participates)
     accepted_bids = decision.bid[accepted_index]
     award_round = _AWARD_ROUND[config.pairing]

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .quadrature import adaptive_simpson
 from .value_model import (
     PREMIUM_MAX,
@@ -69,7 +69,7 @@ def cap_bid(raw_bid):
     if not np.all(raw >= 0.0):
         raise DomainError("raw bid must be non-negative")
     out = np.minimum(raw, 1.0)
-    return float(out) if np.isscalar(raw_bid) else out
+    return float(out) if np.ndim(raw_bid) == 0 else out
 
 
 def _bid_and_cdf(family: ValueFamily, v_p, p_eps):
@@ -82,7 +82,8 @@ def _bid_and_cdf(family: ValueFamily, v_p, p_eps):
 
 def sira_bid(family: ValueFamily, v_p, p_eps):
     """Uncapped equilibrium bid p_eps + v_p F_v(v_p) - integral_0^{v_p} F_v."""
-    return _bid_and_cdf(family, v_p, p_eps)[0]
+    bid = _bid_and_cdf(family, v_p, p_eps)[0]
+    return float(bid) if np.ndim(bid) == 0 else bid
 
 
 def sira_bid_generic(
@@ -93,10 +94,10 @@ def sira_bid_generic(
     Evaluates the defining formula at every v_p at once, with the running
     integral of the cdf computed by adaptive Simpson quadrature, splitting
     panels at the distribution breakpoint p_eps / 2. premium_cdf is called
-    on arrays; a scalar v_p returns a float.
+    on arrays; a v_p with ndim 0 returns a float.
     """
     p_eps = check_p_eps(p_eps)
-    scalar = np.isscalar(v_p)
+    scalar = np.ndim(v_p) == 0
     v = np.atleast_1d(np.asarray(v_p, dtype=float))
     if not np.all((v >= 0.0) & (v <= PREMIUM_MAX)):
         raise DomainError(f"premium value outside [0, {PREMIUM_MAX}]")
@@ -179,7 +180,12 @@ def sira_decision_arrays(
     family: ValueFamily,
     model: SafetyCostModel,
 ) -> DecisionArrays:
-    """Evaluate the SIRA strategy for a whole population at once."""
+    """Evaluate the SIRA strategy for a whole population at once.
+
+    The equilibrium bid never falls below the clearing price, and the cap
+    at 1 lies above it, so a participant bidding below the price is a
+    numerical failure and raises NumericalError.
+    """
     total = np.asarray(total_value, dtype=float)
     lam = np.asarray(scaling_factor, dtype=float)
     v_p = lam * total
@@ -189,6 +195,8 @@ def sira_decision_arrays(
     utility = predicted_utilities(v_d, v_p, bid, cdf_vals)
     participates = utility > 0.0
     safety = np.where(participates, model.safety_from_bid(bid), 0.0)
+    if np.any(participates & (bid < p_eps)):
+        raise NumericalError("a participant's bid fell below the clearing price")
     return DecisionArrays(raw, bid, utility, participates, safety)
 
 

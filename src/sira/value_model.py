@@ -25,7 +25,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .seeding import is_integer
 
 PREMIUM_MAX = 0.5
 _CLAMP_TOL = 1e-14
@@ -64,7 +63,7 @@ class SafetyCostModel:
         if not np.all((e > 0.0) & (e < 1.0)):
             raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
         out = e**self.gamma
-        return float(out) if np.isscalar(epsilon) else out
+        return float(out) if np.ndim(epsilon) == 0 else out
 
     def safety_from_bid(self, bid):
         """Safety level M^{-1}(b) bought by a bid b in (0, 1]."""
@@ -72,7 +71,7 @@ class SafetyCostModel:
         if not np.all((b > 0.0) & (b <= 1.0)):
             raise DomainError("bid outside (0, 1]")
         out = b ** (1.0 / self.gamma)
-        return float(out) if np.isscalar(bid) else out
+        return float(out) if np.ndim(bid) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +95,7 @@ def beta22_ppf(q):
     no randomness, so inverse-transform sampling draws exactly one
     uniform per sample.
     """
-    scalar = np.isscalar(q)
+    scalar = np.ndim(q) == 0
     q_arr = np.asarray(q, dtype=float)
     if not np.all((q_arr >= 0.0) & (q_arr <= 1.0)):
         raise DomainError("quantile outside [0, 1]")
@@ -316,7 +315,7 @@ class PremiumValueDistribution:
         y is split at the breakpoint once; both sides are gathered and
         scattered by integer index, far cheaper than by a mixed boolean mask.
         """
-        scalar = np.isscalar(y)
+        scalar = np.ndim(y) == 0
         arr = np.atleast_1d(np.asarray(y, dtype=float))
         if not np.all((arr >= 0.0) & (arr <= PREMIUM_MAX)):
             raise DomainError(f"premium value outside [0, {PREMIUM_MAX}]")
@@ -346,44 +345,3 @@ class PremiumValueDistribution:
     def cdf_and_integral(self, y):
         """F_v(y) and its running integral, from one split of y."""
         return self._eval(y, cdf=(0.0, 1.0), cdf_integral=(0.0, None))
-
-
-# ---------------------------------------------------------------------------
-# Empirical summaries
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalDistribution:
-    """Histogram summary of premium-value samples on [0, 1/2]."""
-
-    bin_edges: np.ndarray
-    density: np.ndarray
-    cumulative: np.ndarray
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-
-    @property
-    def right_edges(self) -> np.ndarray:
-        return self.bin_edges[1:]
-
-
-def empirical_pdf_cdf(samples, bins: int) -> EmpiricalDistribution:
-    """Bin premium-value samples into a density and cumulative table.
-
-    Uses equal-width bins over the full support [0, 1/2]; the cumulative
-    column is evaluated at the right bin edges and ends at exactly 1.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("samples must be a non-empty one-dimensional collection")
-    if not is_integer(bins) or bins < 10:
-        raise DomainError(f"bins must be an integer >= 10, got {bins!r}")
-    if not np.all((arr >= 0.0) & (arr <= PREMIUM_MAX)):
-        raise DomainError(f"samples outside [0, {PREMIUM_MAX}]")
-    counts, edges = np.histogram(arr, bins=bins, range=(0.0, PREMIUM_MAX))
-    width = PREMIUM_MAX / bins
-    density = counts / (arr.size * width)
-    cumulative = np.cumsum(counts) / arr.size
-    return EmpiricalDistribution(bin_edges=edges, density=density, cumulative=cumulative)

@@ -215,7 +215,7 @@ def test_validate_product_distribution_matches_closed_form(family):
     assert result.cdf_sup_error < 0.01
     assert result.pdf_sup_error < 0.1
     assert result.ks_distance < 0.01
-    assert result.table.centers.size == 20
+    assert result.centers.size == 20
     assert result.analytic_cdf.size == 20
     assert result.analytic_cdf[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -225,12 +225,30 @@ def test_validate_product_distribution_deterministic():
     b = validate_product_distribution(ValueFamily.UNIFORM, 0.25, 50_000, 20, seed=8)
     assert a.pdf_sup_error == b.pdf_sup_error
     assert a.cdf_sup_error == b.cdf_sup_error
-    np.testing.assert_array_equal(a.table.density, b.table.density)
+    np.testing.assert_array_equal(a.density, b.density)
 
 
 def test_validate_product_distribution_rejects_tiny_sample():
     with pytest.raises(DomainError):
         validate_product_distribution(ValueFamily.UNIFORM, 0.5, 1, 20, seed=1)
+
+
+def test_validation_density_integrates_to_one():
+    result = validate_product_distribution(ValueFamily.UNIFORM, 0.3, 50_000, 40, seed=21)
+    width = np.diff(result.bin_edges)
+    assert float(np.sum(result.density * width)) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.diff(result.cumulative) >= 0.0)
+    assert result.cumulative[-1] == 1.0
+
+
+@pytest.mark.parametrize("bins", [5, 9, 0, 10.5, True])
+def test_bad_bins_raise_before_any_draw(monkeypatch, bins):
+    def fail(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(experiments, "sample_valuations", fail)
+    with pytest.raises(DomainError, match="bins must be an integer >= 10"):
+        validate_product_distribution(ValueFamily.BETA22, 0.5, 1_000_000, bins, seed=1)
 
 
 # ---------------------------------------------------------------------------

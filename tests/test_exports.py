@@ -10,6 +10,8 @@ DELETED = {
     "compare_pair",
     "realize_utility",
     "award_premiums_independent",
+    "EmpiricalDistribution",
+    "empirical_pdf_cdf",
 }
 
 

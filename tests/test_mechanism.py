@@ -1,5 +1,6 @@
 """Tests for the auction engines: pairing, awards, reports, and invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import sira.mechanism as mechanism
+import sira.strategy as strategy
 from sira.errors import ConfigError, NumericalError
+from sira.experiments import threshold_sweep
 from sira.mechanism import (
     RESERVE_THRESHOLD,
     SIRA,
@@ -313,15 +315,24 @@ def test_sira_single_accepted_agent_wins_nothing():
 
 
 def test_participant_bid_below_the_price_is_a_numerical_error(monkeypatch):
-    real = mechanism.sira_decision_arrays
+    # The decision kernel itself refuses a participant bidding below the
+    # price, so every path that reaches it does.
+    real = strategy._bid_and_cdf
 
-    def lowered(*args):
-        decision = real(*args)
-        return decision._replace(bid=decision.bid - 0.25)
+    def lowered(family, v_p, p_eps):
+        raw, cdf = real(family, v_p, p_eps)
+        return raw - 0.25, cdf
 
-    monkeypatch.setattr(mechanism, "sira_decision_arrays", lowered)
-    with pytest.raises(NumericalError):
-        run_sira(_config(n_agents=100))
+    monkeypatch.setattr(strategy, "_bid_and_cdf", lowered)
+    config = _config(n_agents=100)
+    with pytest.raises(NumericalError, match="below the clearing price"):
+        run_sira(config)
+    with pytest.raises(NumericalError, match="below the clearing price"):
+        run_repeated_sira(dataclasses.replace(config, rounds=2))
+    with pytest.raises(NumericalError, match="below the clearing price"):
+        threshold_sweep(config.family, [config.p_eps], n_agents=100, seed=1)
+    with pytest.raises(NumericalError, match="below the clearing price"):
+        decide(AgentValuation(0.9, 0.2), config.p_eps, config.family)
 
 
 def test_sira_perfect_matching_round_counts():

@@ -28,7 +28,6 @@ from sira.value_model import (
     SafetyCostModel,
     ValueFamily,
     beta22_ppf,
-    empirical_pdf_cdf,
     sample_valuations,
 )
 
@@ -114,7 +113,6 @@ _NAN_INPUTS = {
     "cap_bid": cap_bid,
     "price_of_safety": SafetyCostModel().price_of_safety,
     "safety_from_bid": SafetyCostModel().safety_from_bid,
-    "empirical_pdf_cdf": lambda x: empirical_pdf_cdf(np.append(np.full(9, 0.2), x), 10),
     "closed_form_vs_quadrature": lambda x: closed_form_vs_quadrature(
         UNIFORM, np.append(0.1, x), [0.5]
     ),
@@ -126,6 +124,20 @@ _NAN_INPUTS = {
 def test_range_checks_reject_nan(name, as_array):
     with pytest.raises(DomainError):
         _NAN_INPUTS[name](np.array([0.2, _NAN]) if as_array else _NAN)
+
+
+@pytest.mark.parametrize("name", sorted(set(_NAN_INPUTS) - {"closed_form_vs_quadrature"}))
+@pytest.mark.parametrize("x", [0.2, 0.25, 0.4])
+def test_zero_d_array_gives_the_scalar_float(name, x):
+    # One rule for every evaluator: an input with ndim 0 returns a float.
+    got, want = _NAN_INPUTS[name](np.array(x)), _NAN_INPUTS[name](x)
+    if name == "cdf_and_integral":
+        assert len(got) == len(want) == 2
+    else:
+        got, want = (got,), (want,)
+    for g, w in zip(got, want):
+        assert type(g) is float and type(w) is float
+        assert np.float64(g).view(np.int64) == np.float64(w).view(np.int64)
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from sira.value_model import (
     _clamped,
     beta22_cdf,
     beta22_ppf,
-    empirical_pdf_cdf,
     sample_scaling_factors,
     sample_total_values,
     sample_valuations,
@@ -322,7 +321,7 @@ _RANGES = {"pdf": (0.0, None), "cdf": (0.0, 1.0), "cdf_integral": (0.0, None)}
 def _piecewise_reference(dist, y, kind):
     """One evaluator written with np.piecewise: a boolean gather and
     scatter per branch, then the same clamp."""
-    scalar = np.isscalar(y)
+    scalar = np.ndim(y) == 0
     arr = np.atleast_1d(np.asarray(y, dtype=float))
     fn_lo, fn_hi = PREMIUM_BRANCHES[dist.family][kind]
     p = dist.p_eps
@@ -408,36 +407,3 @@ def test_clamp_tolerates_roundoff_but_flags_real_violations():
     assert out[1] == 1.0
     with pytest.raises(NumericalError):
         _clamped(np.array([-1e-12]), 0.0, 1.0, "probe")
-
-
-# ---------------------------------------------------------------------------
-# Empirical binning
-
-
-def test_empirical_point_mass_lands_in_one_bin():
-    samples = np.full(1000, 0.25)
-    emp = empirical_pdf_cdf(samples, bins=10)
-    width = PREMIUM_MAX / 10
-    hot = int(np.digitize(0.25, emp.bin_edges) - 1)
-    assert emp.density[hot] == pytest.approx(1.0 / width, abs=1e-12)
-    assert np.count_nonzero(emp.density) == 1
-    assert emp.cumulative[-1] == 1.0
-
-
-def test_empirical_density_integrates_to_one():
-    rng = substream(21, 0)
-    totals, lams = sample_valuations(ValueFamily.UNIFORM, rng, 50_000, lower=0.3)
-    emp = empirical_pdf_cdf(lams * totals, bins=40)
-    width = np.diff(emp.bin_edges)
-    assert float(np.sum(emp.density * width)) == pytest.approx(1.0, abs=1e-12)
-    assert np.all(np.diff(emp.cumulative) >= 0.0)
-    assert emp.cumulative[-1] == 1.0
-
-
-def test_empirical_validation_errors():
-    with pytest.raises(DomainError):
-        empirical_pdf_cdf(np.array([]), bins=20)
-    with pytest.raises(DomainError):
-        empirical_pdf_cdf(np.array([0.1, 0.2]), bins=9)
-    with pytest.raises(DomainError):
-        empirical_pdf_cdf(np.array([0.1, 0.6]), bins=20)
