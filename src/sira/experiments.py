@@ -50,11 +50,30 @@ _EXP_VALIDATE = 2
 _EXP_EQ_CHECK = 3
 
 
+def _check_count(name: str, value, low: int) -> None:
+    """Require a sample size, bin or worker count: an integer of at least low."""
+    if not is_integer(value) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error; nan where the sample is too small."""
     if values.size < 2:
         return (float(values[0]) if values.size else float("nan")), float("nan")
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
+
+
+def _counted_mean_se(values, counts) -> tuple[float, float]:
+    """_mean_se of a sample that takes values[j] exactly counts[j] times.
+
+    Deviations are taken from the most frequent value, so one distinct
+    value gives exactly that mean (signed zero included) and an se of 0.
+    """
+    values, counts = np.ravel(values), np.ravel(counts)
+    n = int(counts.sum())
+    ref = values[np.argmax(counts)]
+    mean = ref - np.dot(counts, ref - values) / n
+    return float(mean), float(np.sqrt(np.dot(counts, (values - mean) ** 2) / (n - 1) / n))
 
 
 def _equilibrium_bids(
@@ -111,11 +130,11 @@ def deviation_sweep(
     whole grid (common random numbers). Deviated bids below the
     clearing price are rejected outright, so their utility is the sunk
     bid with zero variance. The grid is sorted, deduplicated, and
-    always includes delta = 0.
+    always includes delta = 0. Each bid's statistics follow exactly
+    from its win count; no per-opponent utility is materialised.
     """
     check_p_eps(p_eps)
-    if not is_integer(n_opponents) or n_opponents < 2:
-        raise DomainError(f"n_opponents must be an integer >= 2, got {n_opponents!r}")
+    _check_count("n_opponents", n_opponents, 2)
     grid = np.unique(np.append(np.asarray(deltas, dtype=float), 0.0))
     if not np.all((grid >= -1.0) & (grid <= 1.0)):
         raise DomainError("deviation fractions must be finite and lie in [-1, 1]")
@@ -129,22 +148,22 @@ def deviation_sweep(
     v_d = probe.deployment_value
     bids = cap_bid((1.0 + grid) * submitted_bid(family, v_p, p_eps))
 
-    def utilities(bid: float) -> np.ndarray:
-        won = beats(bid, opp_bids, coins)
-        return realized_utilities(v_d, v_p, bid, bid >= p_eps, won)
+    # A bid realizes one utility when it wins and one when it loses, and
+    # winning is monotone in the bid, so a bid with k wins and the
+    # equilibrium bid with k0 disagree on exactly |k - k0| opponents.
+    def outcomes(bid: float) -> tuple[np.ndarray, int]:
+        u = realized_utilities(v_d, v_p, bid, bid >= p_eps, np.array([True, False]))
+        return u, int(np.count_nonzero(beats(bid, opp_bids, coins)))
 
-    zero = int(np.flatnonzero(grid == 0.0)[0])
-    base = utilities(bids[zero])
+    n = int(n_opponents)
+    base, k0 = outcomes(bids[grid == 0.0][0])
     rows = []
-    for i, bid in enumerate(bids):
-        u = base if i == zero else utilities(bid)
-        rows.append((*_mean_se(u), *_mean_se(base - u)))
+    for bid in bids:
+        u, k = outcomes(bid)
+        pairs = [[min(k, k0), max(k0 - k, 0)], [max(k - k0, 0), n - max(k, k0)]]
+        rows.append((*_counted_mean_se(u, [k, n - k]),
+                     *_counted_mean_se(np.subtract.outer(base, u), pairs)))
     mean, se, gap, gap_se = (np.array(column) for column in zip(*rows))
-    # A rejected bid realizes -bid on every draw; pin the degenerate
-    # statistics so summation order cannot smear them.
-    sub = bids < p_eps
-    mean[sub] = -bids[sub]
-    se[sub] = 0.0
     return DeviationSweepResult(grid, bids, mean, se, gap, gap_se)
 
 
@@ -230,8 +249,8 @@ def threshold_sweep(
         raise DomainError("p_eps_grid must be a non-empty one-dimensional grid")
     for p in grid:
         check_p_eps(p)
-    if workers < 1:
-        raise DomainError(f"workers must be at least 1, got {workers}")
+    _check_count("n_agents", n_agents, 2)
+    _check_count("workers", workers, 1)
 
     point_seeds = [child_seed(seed, STREAM_EXPERIMENT, _EXP_SWEEP, i) for i in range(grid.size)]
 
@@ -298,9 +317,8 @@ def validate_product_distribution(
     comparison uses every bin.
     """
     check_p_eps(p_eps)
-    for name, value, low in (("n_samples", n_samples, 2), ("bins", bins, 10)):
-        if not is_integer(value) or value < low:
-            raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    _check_count("n_samples", n_samples, 2)
+    _check_count("bins", bins, 10)
     rng = substream(seed, STREAM_EXPERIMENT, _EXP_VALIDATE, 0)
     totals, lams = sample_valuations(family, rng, n_samples, lower=p_eps)
     products = lams * totals
@@ -393,6 +411,42 @@ class EquilibriumCrosscheck:
         return self.gap / self.gap_se
 
 
+def _bucket_agents(
+    dist: PremiumValueDistribution, lo: float, hi: float, size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Total and premium values of participants whose premium lies in [lo, hi].
+
+    Given V, the premium is in the bucket for lambda in an interval of
+    width w(V) = (min(hi, V/2) - lo) / V, positive only above 2 lo. So V
+    is drawn on [v_min, 1], accepted with w(V) / w_max, and the premium
+    drawn uniformly on [lo, min(hi, V/2)], that is lambda on its interval
+    (Devroye, Non-Uniform Random Variate Generation, 1986, II.3).
+    """
+    bucket_mass = float(dist.cdf(hi) - dist.cdf(lo))
+    if bucket_mass <= 0.0:
+        raise DomainError("bucket has no probability mass")
+    v_min = max(dist.p_eps, 2.0 * lo)
+    w_max = (hi - lo) / max(2.0 * hi, v_min)
+    total_blocks: list[np.ndarray] = []
+    premium_blocks: list[np.ndarray] = []
+    have = 0
+    for _ in range(10_000):
+        if have >= size:
+            break
+        # Bounded blocks keep memory flat; acceptance is >= bucket_mass / (2 w_max).
+        need = 1.1 * (size - have) * 2.0 * w_max / bucket_mass
+        t = sample_total_values(dist.family, rng, int(min(max(need, 10_000), 2_000_000)), v_min)
+        top = np.minimum(hi, 0.5 * t)
+        keep = np.flatnonzero(rng.random(t.size) * w_max * t < top - lo)
+        t, top = t[keep], top[keep]
+        total_blocks.append(t)
+        premium_blocks.append(top - rng.random(t.size) * (top - lo))
+        have += t.size
+    else:
+        raise NumericalError("bucket sampling failed to fill")
+    return np.concatenate(total_blocks)[:size], np.concatenate(premium_blocks)[:size]
+
+
 def equilibrium_crosscheck(
     family: ValueFamily,
     p_eps: float,
@@ -411,8 +465,7 @@ def equilibrium_crosscheck(
     same probes, as a paired difference.
     """
     check_p_eps(p_eps)
-    if not is_integer(n_pairings) or n_pairings < 2:
-        raise DomainError(f"n_pairings must be an integer >= 2, got {n_pairings!r}")
+    _check_count("n_pairings", n_pairings, 2)
     if not (0.0 < bucket_halfwidth <= PREMIUM_MAX):
         raise DomainError(f"bucket_halfwidth must be positive, got {bucket_halfwidth}")
     lo = bucket_center - bucket_halfwidth
@@ -425,28 +478,7 @@ def equilibrium_crosscheck(
 
     probe_rng = substream(seed, STREAM_EXPERIMENT, _EXP_EQ_CHECK, 1)
     dist = PremiumValueDistribution(family=family, p_eps=p_eps)
-    bucket_mass = float(dist.cdf(hi) - dist.cdf(lo))
-    if bucket_mass <= 0.0:
-        raise DomainError("bucket has no probability mass")
-    total_blocks: list[np.ndarray] = []
-    lam_blocks: list[np.ndarray] = []
-    have = 0
-    for _ in range(10_000):
-        if have >= n_pairings:
-            break
-        # Bounded blocks keep the rejection loop's memory flat.
-        chunk = int(min(max(1.5 * (n_pairings - have) / bucket_mass, 10_000), 2_000_000))
-        t = sample_total_values(family, probe_rng, chunk, lower=p_eps)
-        l = sample_scaling_factors(probe_rng, chunk)
-        keep = np.abs(l * t - bucket_center) <= bucket_halfwidth
-        total_blocks.append(t[keep])
-        lam_blocks.append(l[keep])
-        have += int(keep.sum())
-    else:
-        raise NumericalError("bucket rejection sampling failed to fill")
-    totals = np.concatenate(total_blocks)[:n_pairings]
-    lams = np.concatenate(lam_blocks)[:n_pairings]
-    premiums = lams * totals
+    totals, premiums = _bucket_agents(dist, lo, hi, n_pairings, probe_rng)
     deployments = totals - premiums
     bids = submitted_bid(family, premiums, p_eps)
 
@@ -455,8 +487,7 @@ def equilibrium_crosscheck(
     won = beats(bids, opp_bids, coins)
     realized = realized_utilities(deployments, premiums, bids, True, won)
     predicted = predicted_utilities(deployments, premiums, bids, dist.cdf(premiums))
-    diff = realized - predicted
-    gap, gap_se = _mean_se(diff)
+    gap, gap_se = _mean_se(realized - predicted)
     return EquilibriumCrosscheck(
         family=family,
         p_eps=float(p_eps),

@@ -116,7 +116,9 @@ def predicted_utilities(v_d, v_p, bid, cdf_at_v_p):
 
     Against equilibrium opponents a bid below 1 wins the premium with
     probability F_v(v_p); a bid capped at 1 wins outright. The bid
-    itself is sunk either way.
+    itself is sunk either way. The contest settles a tie between two
+    capped bids by a coin, so where opponents also bid the cap this
+    overstates a capped bid's utility (ROADMAP item 3).
     """
     return np.where(bid >= 1.0, v_d + v_p - 1.0, v_d + v_p * cdf_at_v_p - bid)
 

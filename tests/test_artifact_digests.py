@@ -117,9 +117,9 @@ DIGESTS = {
     "deviation-beta22.csv":
         "0b216d8f917eab01802535d5d2a6bebba579f145187233499407e6b539845b8e",
     "deviation-beta22.json":
-        "9749757f60980181e5e361f5d1d669b500efd3711c2e7d96849298d8b301112d",
+        "14ade19221dd650fc31f6598354892e60e219170916c3bf6ab095a19f6ecfe93",
     "deviation-uniform.json":
-        "cc7fd5036e0de0311e6b30b908bb18f3d9689e543c08bf8c3f4745c3e718f898",
+        "8f0407ad3919a69a0b929b3494fba8915ccb88b05c789d3101a304aaaec56135",
     "repeat-uniform-blocks.json":
         "a5c610b0b1fe5ad67a151e6c16c315fc07869d0d8403d93b955c3c192e40ff15",
     "repeat-uniform-perfect.csv":
