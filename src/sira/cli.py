@@ -4,7 +4,8 @@ Subcommands: auction (one SIRA round), reserve (reserve thresholding),
 repeat (repeated SIRA rounds), deviation (Nash deviation sweep), sweep
 (mechanism comparison across clearing prices), validate-dist
 (premium-value distribution check), crosscheck (closed-form bids
-against quadrature).
+against quadrature). Each is declared once, in the table _COMMANDS: its
+help, its options and its handler.
 
 Every output file is self-describing: it carries the tool version and
 the echoed run configuration, including the seed, and contains no
@@ -14,11 +15,12 @@ one % call per block of rows. JSON is compact (sorted keys, no
 whitespace) and long arrays are written in blocks; either way the text
 held in memory stays bounded. Pipe JSON through `python -m json.tool`
 to read it. JSON writes undefined statistics (nan or infinite values)
-as null, and CSV writes them as nan. --workers never changes results;
-it only parallelizes sweep evaluation. Options may also be supplied
-through --config FILE (JSON object keyed by option name); explicit
-flags win over the file, which wins over defaults. Unknown config
-fields are rejected.
+as null, and CSV writes them as nan. Only sweep reads --workers, and it
+never changes results; it only parallelizes the grid points. Options
+may also be supplied through --config FILE (JSON object keyed by option
+name); explicit flags win over the file, which wins over defaults.
+Unknown config fields are rejected. An artifact's config echo is itself
+a valid --config file.
 
 An experiment's JSON results are its CSV columns, one array per column;
 sweep adds its paired participation uplift and that uplift's standard
@@ -35,8 +37,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from enum import Enum, EnumMeta
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -58,12 +61,6 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 OUTPUT_DIR_ENV = "SIRA_OUTPUT_DIR"
-
-_FAMILIES = [f.value for f in ValueFamily]
-_PAIRINGS = {
-    "independent": PairingMode.INDEPENDENT_OPPONENT,
-    "perfect": PairingMode.PERFECT_MATCHING,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -90,20 +87,6 @@ def _to_float(value) -> float:
         raise ConfigError(f"expected a number, got {value!r}") from None
 
 
-def _to_family(value) -> str:
-    text = str(value)
-    if text not in _FAMILIES:
-        raise ConfigError(f"expected one of {_FAMILIES}, got {value!r}")
-    return text
-
-
-def _to_pairing(value) -> str:
-    text = str(value)
-    if text not in _PAIRINGS:
-        raise ConfigError(f"expected one of {sorted(_PAIRINGS)}, got {value!r}")
-    return text
-
-
 def _to_float_list(value) -> list[float]:
     if isinstance(value, str):
         parts = [p for p in value.split(",") if p.strip()]
@@ -128,107 +111,42 @@ def _to_grid(value) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Command registry
+# Options
 
 
 @dataclass(frozen=True)
 class _Opt:
+    """One option. kind turns a CLI string or config-file value into what
+    the library takes: it is a converter, or an Enum whose values are the
+    option's choices. default is used as it stands."""
+
     dest: str
-    converter: Callable[[Any], Any]
+    kind: Callable[[Any], Any]
     default: Any
     help: str
-    choices: tuple[str, ...] | None = None
 
     @property
     def flag(self) -> str:
         return "--" + self.dest.replace("_", "-")
 
+    @property
+    def choices(self) -> list[str] | None:
+        """An Enum kind's values in member order; None for a converter."""
+        return [m.value for m in self.kind] if isinstance(self.kind, EnumMeta) else None
 
-def _seed_opt() -> _Opt:
-    return _Opt("seed", _to_int, None, "root seed (default: drawn from OS entropy)")
-
-
-def _family_opt() -> _Opt:
-    return _Opt(
-        "family",
-        _to_family,
-        "uniform",
-        "total-value family",
-        choices=tuple(_FAMILIES),
-    )
+    def convert(self, value):
+        """A CLI string or config-file value as the type the library takes."""
+        if self.choices is not None and value not in self.choices:
+            raise ConfigError(f"expected one of {self.choices}, got {value!r}")
+        return self.kind(value)
 
 
-_ENGINE_OPTS = [
-    _Opt("n_agents", _to_int, 100_000, "population size"),
-    _Opt("p_eps", _to_float, 0.5, "clearing price of the mandated safety level"),
-    _family_opt(),
-    _Opt("gamma", _to_float, 1.0, "safety-cost exponent"),
-    _seed_opt(),
-]
-
-_PAIRING_OPT = _Opt(
-    "pairing",
-    _to_pairing,
-    "independent",
-    "premium pairing rule",
-    choices=tuple(sorted(_PAIRINGS)),
-)
-
-_COMMAND_OPTIONS: dict[str, list[_Opt]] = {
-    "auction": [*_ENGINE_OPTS, _PAIRING_OPT],
-    "reserve": list(_ENGINE_OPTS),
-    "repeat": [
-        *_ENGINE_OPTS,
-        _PAIRING_OPT,
-        _Opt("rounds", _to_int, 5, "number of repeated rounds"),
-    ],
-    "deviation": [
-        _family_opt(),
-        _Opt("p_eps", _to_float, 0.5, "clearing price"),
-        _Opt("probe_v_d", _to_float, 0.5, "probe agent deployment value"),
-        _Opt("probe_v_p", _to_float, 0.25, "probe agent premium value"),
-        _Opt(
-            "deltas",
-            _to_float_list,
-            [-0.5, -0.25, -0.1, 0.0, 0.1, 0.25, 0.5],
-            "comma list of bid deviation fractions",
-        ),
-        _Opt("n_opponents", _to_int, 100_000, "equilibrium opponents per deviation"),
-        _seed_opt(),
-    ],
-    "sweep": [
-        _family_opt(),
-        _Opt("p_eps_grid", _to_grid, [float(x) for x in np.linspace(0.1, 0.9, 17)],
-             "clearing-price grid (start:stop:count or comma list)"),
-        _Opt("n_agents", _to_int, 100_000, "population size per grid point"),
-        _Opt("gamma", _to_float, 1.0, "safety-cost exponent"),
-        _seed_opt(),
-    ],
-    "validate-dist": [
-        _family_opt(),
-        _Opt("p_eps", _to_float, 0.5, "clearing price"),
-        _Opt("n_samples", _to_int, 1_000_000, "Monte Carlo sample count"),
-        _Opt("bins", _to_int, 40, "histogram bins over [0, 1/2]"),
-        _seed_opt(),
-    ],
-    "crosscheck": [
-        _family_opt(),
-        _Opt("v_p_grid", _to_grid, [float(x) for x in np.linspace(0.0, 0.5, 200)],
-             "premium-value grid (start:stop:count or comma list)"),
-        _Opt("p_eps_list", _to_float_list, [0.1, 0.25, 0.5, 0.75, 0.9],
-             "comma list of clearing prices"),
-    ],
-}
-
-_COMMAND_HELP = {
-    "auction": "simulate one SIRA round",
-    "reserve": "simulate reserve thresholding",
-    "repeat": "simulate repeated SIRA rounds with fixed bids",
-    "deviation": "measure the cost of deviating from the equilibrium bid",
-    "sweep": "compare mechanisms across clearing prices",
-    "validate-dist": "validate the premium-value distribution by Monte Carlo",
-    "crosscheck": "compare closed-form bids with the quadrature route",
-}
+_SEED = _Opt("seed", _to_int, None, "root seed (default: drawn from OS entropy)")
+_FAMILY = _Opt("family", ValueFamily, ValueFamily.UNIFORM, "total-value family")
+_P_EPS = _Opt("p_eps", _to_float, 0.5, "clearing price of the mandated safety level")
+_GAMMA = _Opt("gamma", _to_float, 1.0, "safety-cost exponent")
+_PAIRING = _Opt("pairing", PairingMode, PairingMode.INDEPENDENT_OPPONENT, "premium pairing rule")
+_ENGINE_OPTS = [_Opt("n_agents", _to_int, 100_000, "population size"), _P_EPS, _FAMILY, _GAMMA, _SEED]
 
 
 @dataclass(frozen=True)
@@ -243,7 +161,9 @@ class RunSpec:
 
     @property
     def config_echo(self) -> dict[str, Any]:
-        return {"subcommand": self.subcommand, **self.params}
+        """The params as JSON values (an Enum as its value), after the subcommand."""
+        params = {k: v.value if isinstance(v, Enum) else v for k, v in self.params.items()}
+        return {"subcommand": self.subcommand, **params}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,17 +182,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"sira {__version__}"
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True, metavar="command")
-    for name, opts in _COMMAND_OPTIONS.items():
-        sub = subparsers.add_parser(name, help=_COMMAND_HELP[name])
-        for opt in opts:
-            kwargs: dict[str, Any] = {
-                "dest": opt.dest,
-                "default": None,
-                "help": opt.help,
-            }
-            if opt.choices is not None:
-                kwargs["choices"] = list(opt.choices)
-            sub.add_argument(opt.flag, **kwargs)
+    for name, command in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help)
+        for opt in command.options:
+            sub.add_argument(opt.flag, dest=opt.dest, default=None, help=opt.help,
+                             choices=opt.choices)
         sub.add_argument("--config", default=None, help="JSON file with option defaults")
         sub.add_argument("--out", default=None, help="output file path")
         sub.add_argument(
@@ -281,7 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--workers", type=int, default=1,
-            help="worker threads for independent grid points (never changes results)",
+            help="worker threads for sweep grid points; only sweep reads it, "
+                 "and it never changes results",
         )
     return parser
 
@@ -297,7 +212,7 @@ def _load_config_file(path: Path, subcommand: str) -> dict[str, Any]:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    allowed = {opt.dest for opt in _COMMAND_OPTIONS[subcommand]}
+    allowed = {opt.dest for opt in _COMMANDS[subcommand].options}
     for key in data:
         if key == "subcommand":
             if data[key] != subcommand:
@@ -318,7 +233,7 @@ def parse_run_spec(argv: list[str] | None = None) -> RunSpec:
         _load_config_file(ns.config, subcommand) if ns.config is not None else {}
     )
     params: dict[str, Any] = {}
-    for opt in _COMMAND_OPTIONS[subcommand]:
+    for opt in _COMMANDS[subcommand].options:
         raw = getattr(ns, opt.dest)
         if raw is None and opt.dest in file_values:
             raw = file_values[opt.dest]
@@ -326,7 +241,7 @@ def parse_run_spec(argv: list[str] | None = None) -> RunSpec:
             params[opt.dest] = opt.default
             continue
         try:
-            params[opt.dest] = opt.converter(raw)
+            params[opt.dest] = opt.convert(raw)
         except ConfigError as exc:
             raise ConfigError(f"{opt.flag}: {exc}") from None
     if "seed" in params and params["seed"] is None:
@@ -341,13 +256,7 @@ def parse_run_spec(argv: list[str] | None = None) -> RunSpec:
     workers = int(ns.workers)
     if workers < 1:
         raise ConfigError(f"--workers: expected a positive integer, got {workers}")
-    return RunSpec(
-        subcommand=subcommand,
-        params=params,
-        out_path=out_path,
-        fmt=fmt,
-        workers=workers,
-    )
+    return RunSpec(subcommand, params, out_path, fmt, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +361,7 @@ def _emit(
             handle.writelines(_json_chunks(payload))
             handle.write("\n")
         else:
-            echo = json.dumps(spec.config_echo, sort_keys=True, separators=(",", ":"))
-            handle.write(f"# sira {__version__}\n# config {echo}\n")
+            handle.write(f"# sira {__version__}\n# config {_compact(spec.config_echo)}\n")
             for key in sorted(summary):
                 value = np.asarray(summary[key])
                 handle.write(f"# {key} {_conversion(value) % value.item()}\n")
@@ -463,19 +371,8 @@ def _emit(
 
 
 # ---------------------------------------------------------------------------
-# Handlers
-
-
-def _auction_config(params: dict[str, Any]) -> AuctionConfig:
-    return AuctionConfig(
-        n_agents=params["n_agents"],
-        p_eps=params["p_eps"],
-        family=ValueFamily(params["family"]),
-        seed=params["seed"],
-        gamma=params["gamma"],
-        rounds=params.get("rounds", 1),
-        pairing=_PAIRINGS[params.get("pairing", "independent")],
-    )
+# Handlers. An option's dest is the keyword under which the library call
+# takes its value, so params that match a call pass straight through.
 
 
 # The engine of each per-agent subcommand, looked up by name in sira.mechanism
@@ -529,7 +426,7 @@ def _report_output(report: AuctionReport) -> tuple[dict, dict, dict]:
 
 def _handle_agents(spec: RunSpec) -> Path:
     engine = getattr(mechanism, _ENGINES[spec.subcommand])
-    return _emit(spec, *_report_output(engine(_auction_config(spec.params))))
+    return _emit(spec, *_report_output(engine(AuctionConfig(**spec.params))))
 
 
 def _handle_deviation(spec: RunSpec) -> Path:
@@ -542,12 +439,7 @@ def _handle_deviation(spec: RunSpec) -> Path:
     except DomainError as exc:
         raise ConfigError(f"invalid probe valuation: {exc}") from None
     result = deviation_sweep(
-        ValueFamily(p["family"]),
-        p["p_eps"],
-        probe,
-        p["deltas"],
-        p["n_opponents"],
-        p["seed"],
+        p["family"], p["p_eps"], probe, p["deltas"], p["n_opponents"], p["seed"]
     )
     zero = result.optimum_index
     summary = {
@@ -567,15 +459,7 @@ def _handle_deviation(spec: RunSpec) -> Path:
 
 
 def _handle_sweep(spec: RunSpec) -> Path:
-    p = spec.params
-    result = threshold_sweep(
-        ValueFamily(p["family"]),
-        p["p_eps_grid"],
-        p["n_agents"],
-        p["seed"],
-        gamma=p["gamma"],
-        workers=spec.workers,
-    )
+    result = threshold_sweep(**spec.params, workers=spec.workers)
     best = int(np.nanargmax(result.participation_uplift))
     summary = {
         "max_participation_uplift": result.participation_uplift[best],
@@ -607,10 +491,7 @@ def _handle_sweep(spec: RunSpec) -> Path:
 
 
 def _handle_validate_dist(spec: RunSpec) -> Path:
-    p = spec.params
-    result = validate_product_distribution(
-        ValueFamily(p["family"]), p["p_eps"], p["n_samples"], p["bins"], p["seed"]
-    )
+    result = validate_product_distribution(**spec.params)
     summary = {
         "pdf_sup_error": result.pdf_sup_error,
         "cdf_sup_error": result.cdf_sup_error,
@@ -629,13 +510,11 @@ def _handle_validate_dist(spec: RunSpec) -> Path:
 
 def _handle_crosscheck(spec: RunSpec) -> Path:
     p = spec.params
-    result = closed_form_vs_quadrature(
-        ValueFamily(p["family"]), p["v_p_grid"], p["p_eps_list"]
-    )
+    result = closed_form_vs_quadrature(p["family"], p["v_p_grid"], p["p_eps_list"])
     summary = {"max_abs_diff": result.max_abs_diff}
     n_p, n_v = result.closed_form.shape
     columns = {
-        "family": np.full(n_p * n_v, p["family"]),
+        "family": np.full(n_p * n_v, p["family"].value),
         "p_eps": np.repeat(result.p_eps, n_v),
         "v_p": np.tile(result.v_p, n_p),
         "closed_form_bid": result.closed_form.ravel(),
@@ -645,18 +524,78 @@ def _handle_crosscheck(spec: RunSpec) -> Path:
     return _emit(spec, summary, columns)
 
 
-_HANDLERS: dict[str, Callable[[RunSpec], Path]] = {
-    **dict.fromkeys(_ENGINES, _handle_agents),
-    "deviation": _handle_deviation,
-    "sweep": _handle_sweep,
-    "validate-dist": _handle_validate_dist,
-    "crosscheck": _handle_crosscheck,
+# ---------------------------------------------------------------------------
+# Command table
+
+
+class _Command(NamedTuple):
+    help: str
+    options: list[_Opt]
+    handler: Callable[[RunSpec], Path]
+
+
+_COMMANDS: dict[str, _Command] = {
+    "auction": _Command("simulate one SIRA round", [*_ENGINE_OPTS, _PAIRING], _handle_agents),
+    "reserve": _Command("simulate reserve thresholding", _ENGINE_OPTS, _handle_agents),
+    "repeat": _Command(
+        "simulate repeated SIRA rounds with fixed bids",
+        [*_ENGINE_OPTS, _PAIRING, _Opt("rounds", _to_int, 5, "number of repeated rounds")],
+        _handle_agents,
+    ),
+    "deviation": _Command(
+        "measure the cost of deviating from the equilibrium bid",
+        [
+            _FAMILY,
+            _P_EPS,
+            _Opt("probe_v_d", _to_float, 0.5, "probe agent deployment value"),
+            _Opt("probe_v_p", _to_float, 0.25, "probe agent premium value"),
+            _Opt("deltas", _to_float_list, [-0.5, -0.25, -0.1, 0.0, 0.1, 0.25, 0.5],
+                 "comma list of bid deviation fractions"),
+            _Opt("n_opponents", _to_int, 100_000, "equilibrium opponents per deviation"),
+            _SEED,
+        ],
+        _handle_deviation,
+    ),
+    "sweep": _Command(
+        "compare mechanisms across clearing prices",
+        [
+            _FAMILY,
+            _Opt("p_eps_grid", _to_grid, [float(x) for x in np.linspace(0.1, 0.9, 17)],
+                 "clearing-price grid (start:stop:count or comma list)"),
+            _Opt("n_agents", _to_int, 100_000, "population size per grid point"),
+            _GAMMA,
+            _SEED,
+        ],
+        _handle_sweep,
+    ),
+    "validate-dist": _Command(
+        "validate the premium-value distribution by Monte Carlo",
+        [
+            _FAMILY,
+            _P_EPS,
+            _Opt("n_samples", _to_int, 1_000_000, "Monte Carlo sample count"),
+            _Opt("bins", _to_int, 40, "histogram bins over [0, 1/2]"),
+            _SEED,
+        ],
+        _handle_validate_dist,
+    ),
+    "crosscheck": _Command(
+        "compare closed-form bids with the quadrature route",
+        [
+            _FAMILY,
+            _Opt("v_p_grid", _to_grid, [float(x) for x in np.linspace(0.0, 0.5, 200)],
+                 "premium-value grid (start:stop:count or comma list)"),
+            _Opt("p_eps_list", _to_float_list, [0.1, 0.25, 0.5, 0.75, 0.9],
+                 "comma list of clearing prices"),
+        ],
+        _handle_crosscheck,
+    ),
 }
 
 
 def execute(spec: RunSpec) -> Path:
     """Run one resolved specification and write its output file."""
-    return _HANDLERS[spec.subcommand](spec)
+    return _COMMANDS[spec.subcommand].handler(spec)
 
 
 def main(argv: list[str] | None = None) -> int:

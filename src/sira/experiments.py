@@ -25,6 +25,7 @@ from .errors import DomainError, NumericalError
 from .mechanism import AuctionConfig, _draw_population, _reserve_from_population, beats
 from .seeding import STREAM_EXPERIMENT, child_seed, is_integer, substream
 from .strategy import (
+    _bid_and_cdf,
     cap_bid,
     check_p_eps,
     predicted_utilities,
@@ -39,7 +40,6 @@ from .value_model import (
     AgentValuation,
     PremiumValueDistribution,
     ValueFamily,
-    sample_scaling_factors,
     sample_total_values,
     sample_valuations,
 )
@@ -85,8 +85,7 @@ def _equilibrium_bids(
     clears the threshold ever enter a comparison, and the premium-value
     distribution is defined over exactly this population.
     """
-    totals = sample_total_values(family, rng, size, lower=p_eps)
-    lams = sample_scaling_factors(rng, size)
+    totals, lams = sample_valuations(family, rng, size, lower=p_eps)
     return submitted_bid(family, lams * totals, p_eps)
 
 
@@ -480,13 +479,14 @@ def equilibrium_crosscheck(
     dist = PremiumValueDistribution(family=family, p_eps=p_eps)
     totals, premiums = _bucket_agents(dist, lo, hi, n_pairings, probe_rng)
     deployments = totals - premiums
-    bids = submitted_bid(family, premiums, p_eps)
+    raw, cdf = _bid_and_cdf(family, premiums, p_eps)
+    bids = cap_bid(raw)
 
     tie_rng = substream(seed, STREAM_EXPERIMENT, _EXP_EQ_CHECK, 2)
     coins = tie_rng.random(n_pairings) < 0.5
     won = beats(bids, opp_bids, coins)
     realized = realized_utilities(deployments, premiums, bids, True, won)
-    predicted = predicted_utilities(deployments, premiums, bids, dist.cdf(premiums))
+    predicted = predicted_utilities(deployments, premiums, bids, cdf)
     gap, gap_se = _mean_se(realized - predicted)
     return EquilibriumCrosscheck(
         family=family,

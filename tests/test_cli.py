@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 import sira.cli as cli
+from sira import mechanism
 from sira.errors import ConfigError, NumericalError
+from sira.mechanism import PairingMode
+from sira.value_model import ValueFamily
 
 
 def _run(argv):
@@ -45,10 +48,6 @@ def test_scalar_converters_reject_garbage():
             cli._to_int(bad)
     with pytest.raises(ConfigError):
         cli._to_float("one")
-    with pytest.raises(ConfigError):
-        cli._to_family("gamma")
-    with pytest.raises(ConfigError):
-        cli._to_pairing("round-robin")
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +60,10 @@ def test_parse_defaults_fill_in(tmp_path, monkeypatch):
     assert spec.subcommand == "auction"
     assert spec.params["n_agents"] == 100_000
     assert spec.params["p_eps"] == 0.5
-    assert spec.params["family"] == "uniform"
+    assert spec.params["family"] is ValueFamily.UNIFORM
+    assert spec.params["pairing"] is PairingMode.INDEPENDENT_OPPONENT
+    assert spec.config_echo["family"] == "uniform"
+    assert spec.config_echo["pairing"] == "independent"
     assert spec.params["seed"] is not None  # drawn fresh when omitted
     assert spec.out_path == tmp_path / "auction.csv"
     assert spec.fmt == "csv"
@@ -106,6 +108,22 @@ def test_unreadable_config_file_exits_usage(content, tmp_path, capsys):
     argv = ["auction", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]
     assert _run(argv) == cli.EXIT_USAGE
     assert str(cfg) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--family", "gamma"), ("--pairing", "round-robin")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_choice_exits_usage_naming_the_flag(flag, value, source, tmp_path, capsys):
+    argv = ["auction", "--seed", "1", "--out", str(tmp_path / "a.csv")]
+    if source == "flag":
+        argv += [flag, value]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({flag[2:]: value}))
+        argv += ["--config", str(cfg)]
+    assert _run(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert flag in err and value in err
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_config_file_subcommand_mismatch(tmp_path):
@@ -167,7 +185,7 @@ def test_numerical_failure_exits_numeric(tmp_path, monkeypatch, capsys):
     def boom(_spec):
         raise NumericalError("synthetic non-convergence")
 
-    monkeypatch.setitem(cli._HANDLERS, "auction", boom)
+    monkeypatch.setattr(mechanism, "run_sira", boom)
     code = _run(["auction", "--seed", "1", "--out", str(tmp_path / "a.csv")])
     assert code == cli.EXIT_NUMERIC
     assert "numerical error" in capsys.readouterr().err
@@ -540,6 +558,33 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert _run(base + ["--out", str(a), "--workers", "1"]) == 0
     assert _run(base + ["--out", str(b), "--workers", "4"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+REPLAY_RUNS = {
+    "auction": ["--family", "beta22", "--pairing", "perfect", "--n-agents", "300", "--seed", "3"],
+    "reserve": ["--n-agents", "300", "--gamma", "2", "--seed", "4"],
+    "repeat": ["--pairing", "perfect", "--rounds", "2", "--n-agents", "301", "--seed", "5"],
+    **{name: argv[1:] for name, argv in SCHEMA_RUNS.items()},
+}
+
+
+def _config_echo_text(path, fmt):
+    if fmt == "json":
+        return json.dumps(json.loads(path.read_text(encoding="utf-8"))["config"])
+    return _read_lines(path)[1][len("# config ") :]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(REPLAY_RUNS))
+def test_config_echo_replays_to_the_same_bytes(name, fmt, tmp_path):
+    first, replay = tmp_path / f"first.{fmt}", tmp_path / f"replay.{fmt}"
+    argv = [name, *REPLAY_RUNS[name], "--format", fmt]
+    assert _run([*argv, "--out", str(first)]) == cli.EXIT_OK
+    cfg = tmp_path / "echo.json"
+    cfg.write_text(_config_echo_text(first, fmt))
+    code = _run([name, "--config", str(cfg), "--format", fmt, "--out", str(replay)])
+    assert code == cli.EXIT_OK
+    assert first.read_bytes() == replay.read_bytes()
 
 
 def test_different_seed_changes_bytes(tmp_path):
