@@ -9,13 +9,16 @@ rejected zero bid (written as -0), a sweep whose grid points have one
 participant, none, and a clearing price in the edge window near 1, and
 per-agent CSV and JSON long enough to be written in more than one block
 of rows, including a two-round JSON whose per-round arrays are written
-row by row. Two crosschecks at the benchmark's size (1000 premium values
-by 9 prices) pin the quadrature route: Beta(2, 2) across [0.1, 0.9] and
-uniform across the edge window [0.999, 1 - 1e-6]. The premium
-distribution's branch split is pinned on the paths that evaluate it over
-a population: a uniform deviation, a uniform validation at a clearing
-price in the edge window, and a 17-point Beta(2, 2) sweep whose points
-run in two threads.
+row by row. Two more multi-block CSVs pin cells of exactly 1 and cells
+above 1: a Beta(2, 2) auction in the edge window, whose bids are capped
+at 1 below raw bids above it, and a five-round repeat, whose realized
+utilities exceed 1. Two crosschecks at the benchmark's size (1000
+premium values by 9 prices) pin the quadrature route: Beta(2, 2) across
+[0.1, 0.9] and uniform across the edge window [0.999, 1 - 1e-6]. The
+premium distribution's branch split is pinned on the paths that
+evaluate it over a population: a uniform deviation, a uniform validation
+at a clearing price in the edge window, and a 17-point Beta(2, 2) sweep
+whose points run in two threads.
 """
 
 import hashlib
@@ -39,6 +42,13 @@ RUNS = {
     ],
     "repeat-uniform-blocks": [
         "repeat", "--rounds", "2", "--n-agents", "70001", "--p-eps", "0.5", "--seed", "20"
+    ],
+    "auction-beta22-edge-blocks": [
+        "auction", "--family", "beta22", "--n-agents", "70001", "--p-eps", "0.9995",
+        "--seed", "29"
+    ],
+    "repeat-uniform-5-rounds-blocks": [
+        "repeat", "--rounds", "5", "--n-agents", "70001", "--p-eps", "0.5", "--seed", "30"
     ],
     "reserve-beta22": [
         "reserve", "--family", "beta22", "--n-agents", "300", "--p-eps", "0.3",
@@ -94,6 +104,8 @@ DIGESTS = {
         "15d1b3abcc0b212dd6dbdd70c5fcec67a4ef2892e7abfdcf837f79bf98e167a1",
     "auction-beta22-perfect.json":
         "235a3ce4e003d048a2fea2f450875ce840ae5bae697435eb54cc738645ddb5e5",
+    "auction-beta22-edge-blocks.csv":
+        "0ec6651ffb09e29496eb74463fe2a68e88a6e95fefb7b058a7c5e3fc178bccbb",
     "auction-uniform-blocks.csv":
         "084e9a89e366525dc8415d6f915425329835bc7074f59878b8a6986cdcffcc87",
     "auction-uniform-blocks.json":
@@ -120,6 +132,8 @@ DIGESTS = {
         "14ade19221dd650fc31f6598354892e60e219170916c3bf6ab095a19f6ecfe93",
     "deviation-uniform.json":
         "8f0407ad3919a69a0b929b3494fba8915ccb88b05c789d3101a304aaaec56135",
+    "repeat-uniform-5-rounds-blocks.csv":
+        "fa8e3b33433a4332ef0a54a272ed1db8f9734434fa8c70299dc06d012328fd9c",
     "repeat-uniform-blocks.json":
         "a5c610b0b1fe5ad67a151e6c16c315fc07869d0d8403d93b955c3c192e40ff15",
     "repeat-uniform-perfect.csv":
