@@ -10,15 +10,19 @@ help, its options and its handler.
 Every output file is self-describing: it carries the tool version and
 the echoed run configuration, including the seed, and contains no
 timestamps, so rerunning the same specification writes byte-identical
-files. CSV cells are C printf conversions (%.9g for floats), written
-one % call per block of rows. JSON is compact (sorted keys, no
-whitespace) and long arrays are written in blocks; either way the text
-held in memory stays bounded. Pipe JSON through `python -m json.tool`
-to read it. JSON writes undefined statistics (nan or infinite values)
-as null, and CSV writes them as nan. Only sweep reads --workers, and it
-never changes results; it only parallelizes the grid points. Options
-may also be supplied through --config FILE (JSON object keyed by option
-name); explicit flags win over the file, which wins over defaults.
+files. CSV cells are the bytes of C printf conversions (%.9g for
+floats, %d for integers and bools, %s for text). Rows are written in
+blocks; numpy digit arithmetic builds integers, bools, ±0 and floats
+with 1e-4 <= |x| < 10, and every other cell goes through %, one cell at
+a time (see _float_cells for why the digits are exact). JSON is compact
+(sorted keys, no whitespace) and long arrays are written in blocks;
+either way the text held in memory stays bounded. Pipe JSON through
+`python -m json.tool` to read it. JSON writes undefined statistics (nan
+or infinite values) as null, and CSV writes them as nan. Only sweep
+reads --workers, and it never changes results; it only parallelizes the
+grid points. Options may also be supplied through --config FILE (JSON
+object keyed by option name); explicit flags win over the file, which
+wins over defaults.
 Unknown config fields are rejected. An artifact's config echo is itself
 a valid --config file.
 
@@ -33,6 +37,7 @@ failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -263,8 +268,8 @@ def parse_run_spec(argv: list[str] | None = None) -> RunSpec:
 # Output writer
 
 # CSV rows or JSON array elements formatted and written at a time; bounds
-# the text held in memory.
-_BLOCK_ROWS = 1 << 16
+# the text held in memory, and keeps a CSV block's byte matrix in L2.
+_BLOCK_ROWS = 1 << 12
 
 
 # printf conversion of a CSV cell by dtype kind; %d writes bools as 1/0.
@@ -276,23 +281,180 @@ def _conversion(values: np.ndarray) -> str:
     return _CONVERSIONS.get(values.dtype.kind, "%s")
 
 
+# The digit tables are built on the first CSV write, not at import: JSON
+# runs and usage errors never need them.
+@functools.cache
+def _quad_table() -> np.ndarray:
+    """The digit groups 0000 to 9999 as 4-byte words of ASCII digits, in
+    four variants: all digits, then trailing zeros NUL, leading zeros NUL,
+    and leading zeros NUL but 0 kept as "0"."""
+    values = np.arange(10_000, dtype=np.uint16)[:, None]
+    places = np.array([1000, 100, 10, 1], np.uint16)
+    digits = (values // places % 10 + ord("0")).astype(np.uint8)
+    stripped = [False, values % (10 * places) == 0, values < places,
+                (values < places) & (places > 1)]
+    table = np.concatenate([np.where(s, np.uint8(0), digits).view(np.uint32).ravel()
+                            for s in stripped])
+    table.flags.writeable = False
+    return table
+
+
+# The variants' offsets into the quad table; all digits are at 0.
+_TRAIL, _LEAD, _LEAD_KEEP0 = 10_000, 20_000, 30_000
+_MINUS = np.frombuffer(b"\0\0\0-", np.uint32)[0]
+
+
+def _float_head(sign: str, k: int, d0: str, rest_zero: bool) -> str:
+    """The head of a fast float cell with exponent X = k - 4: its sign,
+    the "0.000" prefix or the point after d0, and d0, right-aligned in 8
+    bytes. Only ±0 has d0 = 0."""
+    if d0 == "0":
+        body = "0"
+    elif k == 4:
+        body = d0 if rest_zero else d0 + "."
+    else:
+        body = "0." + "0" * (3 - k) + d0
+    return (sign + body).rjust(8, "\0")
+
+
+@functools.cache
+def _head_table() -> np.ndarray:
+    """Heads of fast float cells as 8-byte words, indexed by
+    100·sign + 20·(X + 4) + 2·d0 + (d1...d8 all zero). A fast cell, ±0 or
+    d0.d1...d8 · 10**X for X = -4..0, is its head followed by the groups
+    d1..d4 and d5..d8 with trailing zeros stripped."""
+    return np.frombuffer("".join(
+        _float_head(sign, k, d0, rest_zero)
+        for sign in ("", "-") for k in range(5) for d0 in "0123456789"
+        for rest_zero in (False, True)
+    ).encode(), np.uint64)
+
+
+_SCALE = np.array([1e12, 1e11, 1e10, 1e9, 1e8])  # 10**(8 - X), exact
+
+
+def _slots(texts: list[str]) -> np.ndarray:
+    """Per-cell texts as rows of NUL-padded bytes."""
+    data = [t.encode() for t in texts]
+    if any(b"\0" in d for d in data):
+        raise ValueError("a CSV cell cannot hold a NUL character")
+    cells = np.array(data, dtype=bytes)
+    return cells.view(np.uint8).reshape(cells.size, cells.itemsize)
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """%.9g of float64 x as rows of 16 NUL-padded bytes.
+
+    Digit arithmetic writes ±0 and 1e-4 <= |x| < 10, the bulk of every
+    artifact; every other cell, and a rounding tie, goes through %.
+
+    Why the digits are exact: X = floor(log10 |x|) comes from comparing
+    |x| with the doubles nearest 1e-3, 1e-2, 0.1 and 1, which is exact,
+    since each lies above its power of ten with no double in between. The
+    9-digit significand of |x| is y = |x|·10**(8 - X) in [1e8, 1e9),
+    rounded. The power of ten is exact, so fl(y) is y correctly rounded
+    to a double. That rounding is monotone, and every half-integer below
+    2**30 is a double, so fl(y) lies on the same side of each rounding tie
+    as y, and rint(fl(y)) is the rounded significand that %.9g prints,
+    unless fl(y) is a tie itself. Ties, cells below 1e-4 (fl(y) < 1e8)
+    and significands that round up to 1e9 go through %.
+    """
+    a = np.fmin(np.abs(x), 10.0)  # nan and |x| >= 10 become 10, a slow cell
+    k = (a >= 1e-3).view(np.uint8) + (a >= 1e-2).view(np.uint8)
+    k += (a >= 0.1).view(np.uint8) + (a >= 1.0).view(np.uint8)  # X + 4
+    y = a * np.take(_SCALE, k)
+    r = np.rint(y)
+    fast = (y >= 1e8) & (r < 1e9) & (np.abs(y - r) < 0.5) | (a == 0)
+    significand = r.astype(np.uint32)
+    high = significand // 10_000
+    low = significand - high * 10_000
+    d0 = high // 10_000
+    middle = high - d0 * 10_000
+    low_zero = low == 0
+    head = 20 * k + 100 * np.signbit(x) + 2 * d0 + (low_zero & (middle == 0))
+    cells = np.empty((x.size, 4), np.uint32)
+    # A slow cell's d0 may be 10; its head is clipped, then overwritten.
+    cells.view(np.uint64)[:, 0] = np.take(_head_table(), head, mode="clip")
+    quads = _quad_table()
+    cells[:, 2] = np.take(quads, middle + _TRAIL * low_zero)
+    cells[:, 3] = np.take(quads, low + _TRAIL)
+    cells = cells.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        slots = _slots([_CONVERSIONS["f"] % v for v in x[slow].tolist()])
+        cells[slow, : slots.shape[1]] = slots
+        cells[slow, slots.shape[1] :] = 0
+    return cells
+
+
+def _int_cells(v: np.ndarray) -> np.ndarray:
+    """%d of an integer or bool column as rows of NUL-padded bytes: a
+    minus sign if any cell needs one, then four-digit groups."""
+    magnitude = v.astype(np.uint64)
+    negative = np.flatnonzero(v < 0)
+    magnitude[negative] = -magnitude[negative]
+    n_groups = (len(str(magnitude.max())) + 3) // 4
+    if n_groups <= 2:
+        magnitude = magnitude.astype(np.uint32)
+    quads = _quad_table()
+    cells = np.zeros((v.size, n_groups + (negative.size > 0)), np.uint32)
+    cells[negative, 0] = _MINUS
+    for i in range(1, n_groups):
+        rest = magnitude // 10_000
+        # Leading zeros are stripped where no higher group is left.
+        strip = (rest == 0).astype(rest.dtype) * (_LEAD_KEEP0 if i == 1 else _LEAD)
+        cells[:, -i] = np.take(quads, magnitude - rest * 10_000 + strip)
+        magnitude = rest
+    cells[:, -n_groups] = np.take(quads, magnitude + (_LEAD if n_groups > 1 else _LEAD_KEEP0))
+    return cells.view(np.uint8)
+
+
+def _block_cells(block: list[np.ndarray]) -> list[np.ndarray]:
+    """The cells of one block of columns, each column as rows of
+    NUL-padded bytes. Float columns are encoded together, so that each
+    numpy call covers all of them."""
+    floats = [column for column in block if column.dtype.kind == "f"]
+    if floats:
+        float_cells = iter(
+            _float_cells(np.concatenate(floats, dtype=np.float64)).reshape(len(floats), -1, 16)
+        )
+    cells = []
+    for column in block:
+        if column.dtype.kind == "f":
+            cells.append(next(float_cells))
+        elif column.dtype.kind in "biu":
+            cells.append(_int_cells(column))
+        else:
+            conversion = _conversion(column)
+            cells.append(_slots([conversion % (v,) for v in column.tolist()]))
+    return cells
+
+
 def _csv_rows(columns: dict[str, np.ndarray]):
     """CSV data rows as text, one string per block of ``_BLOCK_ROWS`` rows.
 
-    Each block is one ``%`` call on a row template repeated per row. Its
-    values come from one object array, filled column by column so that
-    numpy boxes them in C, and reused for every block. Bools are boxed as
-    the ints 0 and 1, which ``%d`` formats about twice as fast.
+    The text is each cell's ``_CONVERSIONS`` rule, byte for byte. A block
+    is built as one byte matrix: each cell sits in a fixed-width slot,
+    padded with NUL, and is followed by its comma or newline. The block's
+    text is the matrix without its NULs; a cell never holds NUL. Digit
+    arithmetic fills the slots of integers, bools, ±0 and floats with
+    1e-4 <= |x| < 10 (``_int_cells``, ``_float_cells``), and ``%`` fills
+    every other slot, one cell at a time.
     """
-    row = ",".join(map(_conversion, columns.values())) + "\n"
-    values = [c.view(np.uint8) if c.dtype.kind == "b" else c for c in columns.values()]
+    values = list(columns.values())
     n_rows = len(values[0])
-    block = np.empty((min(n_rows, _BLOCK_ROWS), len(values)), dtype=object)
     for start in range(0, n_rows, _BLOCK_ROWS):
-        cells = block[: n_rows - start]
-        for j, column in enumerate(values):
-            cells[:, j] = column[start : start + len(cells)]
-        yield row * len(cells) % tuple(cells.flat)
+        cells = _block_cells([column[start : start + _BLOCK_ROWS] for column in values])
+        block = np.empty((len(cells[0]), sum(c.shape[1] + 1 for c in cells)), np.uint8)
+        at = 0
+        for c in cells:
+            # Copied as one fixed-size item per row, not byte by byte.
+            slot = f"V{c.shape[1]}"
+            block[:, at : at + c.shape[1]].view(slot)[:, 0] = c.view(slot)[:, 0]
+            at += c.shape[1] + 1
+            block[:, at - 1] = ord(",")
+        block[:, -1] = ord("\n")
+        yield block.tobytes().translate(None, b"\0").decode()
 
 
 def _json_default(value):

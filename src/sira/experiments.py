@@ -228,6 +228,14 @@ def _sweep_point(
     return (*res_stats, *sira_stats, *_mean_se(paired))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, which os.cpu_count() ignores."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def threshold_sweep(
     family: ValueFamily,
     p_eps_grid,
@@ -257,7 +265,7 @@ def threshold_sweep(
         return _sweep_point(family, float(grid[i]), n_agents, point_seeds[i], gamma)
 
     # pool.map submits every point at once, so bound the threads it starts.
-    workers = min(workers, grid.size, os.cpu_count() or 1)
+    workers = min(workers, grid.size, _usable_cpus())
     if workers == 1:
         rows = [evaluate(i) for i in range(grid.size)]
     else:

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sira.cli as cli
 from sira import mechanism
@@ -491,6 +493,98 @@ def test_block_csv_rows_equal_per_cell_reference(n_rows):
     cells = [_reference_cells(column) for column in columns.values()]
     reference = "".join(",".join(row) + "\n" for row in zip(*cells))
     _assert_same_text(written, reference)
+
+
+def _assert_csv_equals_per_cell_reference(columns):
+    written = "".join(cli._csv_rows(columns))
+    cells = [_reference_cells(column) for column in columns.values()]
+    _assert_same_text(written, "".join(",".join(row) + "\n" for row in zip(*cells)))
+
+
+def _stepped(values, ulps):
+    """Each value moved by its number of ulps (int64 bit steps)."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64) + np.asarray(ulps)
+    return bits.view(np.float64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
+@example(bits=[0, 2**63, 1, 2**63 + 1, 0x7FF0000000000000, 0xFFF0000000000000,
+               0x7FF8000000000000, 0x000FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF])
+def test_csv_floats_of_any_bit_pattern_equal_per_cell_reference(bits):
+    bits = np.array(bits, dtype=np.uint64)
+    # The same signs and mantissas with exponents 2**-14 to 2**17, around
+    # the range that digit arithmetic writes.
+    exponents = np.uint64(1009) + (bits >> np.uint64(58) & np.uint64(31))
+    near = bits & np.uint64(0x800F_FFFF_FFFF_FFFF) | exponents << np.uint64(52)
+    _assert_csv_equals_per_cell_reference({"x": bits.view(np.float64),
+                                           "near": near.view(np.float64)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    significands=st.lists(st.integers(10**8, 10**9 - 1), min_size=1, max_size=100),
+    exponent=st.integers(-6, 1),
+    ulps=st.integers(-4, 4),
+    negative=st.booleans(),
+)
+@example(significands=[999_999_999], exponent=0, ulps=0, negative=False)
+@example(significands=[100_000_000, 122_070_312], exponent=-4, ulps=0, negative=True)
+def test_csv_floats_near_rounding_ties_equal_per_cell_reference(
+    significands, exponent, ulps, negative
+):
+    # (k + 0.5)·10**(X - 8): halfway between two 9-digit values.
+    ties = np.array([float(f"{k}5e{exponent - 9}") for k in significands])
+    x = _stepped(ties, ulps) * (-1.0 if negative else 1.0)
+    _assert_csv_equals_per_cell_reference({"x": x})
+
+
+@settings(max_examples=200, deadline=None)
+@given(ulps=st.lists(st.integers(-2**20, 2**20), min_size=16, max_size=16),
+       negative=st.booleans())
+def test_csv_floats_near_range_edges_equal_per_cell_reference(ulps, negative):
+    # 1e-4, 1 and 10 bound the digit-arithmetic range and its exponents;
+    # 9-digit rounding lifts the values just below each power of ten to it.
+    edges = [1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 9.9999999995e-5, 0.99999999995,
+             9.9999999995, 1.00000001, 9.99999999, 1e-4 * (1 - 1e-9), 5e-5, 0.5, 2.0, 0.0]
+    x = _stepped(edges, ulps) * (-1.0 if negative else 1.0)
+    _assert_csv_equals_per_cell_reference({"x": x, "exact": np.array(edges)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(width=32),
+            st.integers(-(2**63), 2**63 - 1),
+            st.integers(0, 2**64 - 1),
+            st.booleans(),
+            st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0")
+                    | st.sampled_from("%,"), max_size=8),
+            st.floats(),
+        ),
+        min_size=1,
+        max_size=50,
+    )
+)
+@example(rows=[(np.float32(-3.4e38), -(2**63), 2**64 - 1, True, "100%,", -0.0),
+               (np.float32(1e-45), 2**63 - 1, 0, False, "%s%d", 5e-324)])
+def test_csv_mixed_columns_equal_per_cell_reference(rows):
+    f32, i64, u64, flag, text, f64 = zip(*rows)
+    _assert_csv_equals_per_cell_reference({
+        "float32": np.array(f32, dtype=np.float32),
+        "int64": np.array(i64, dtype=np.int64),
+        "uint64": np.array(u64, dtype=np.uint64),
+        "flag": np.array(flag),
+        "text": np.array(text),
+        "float64": np.array(f64),
+        "small_int": np.array(i64, dtype=np.int64) % 1000 - 500,
+    })
+
+
+def test_csv_text_cell_with_nul_is_refused():
+    with pytest.raises(ValueError, match="NUL"):
+        "".join(cli._csv_rows({"text": np.array(["a\0b"], dtype=object)}))
 
 
 def test_csv_summary_lines_equal_per_cell_reference(tmp_path):

@@ -281,14 +281,25 @@ def test_threshold_sweep_bounds_its_thread_pool(monkeypatch):
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialPool)
     grid = [0.25, 0.5, 0.75]
     serial = threshold_sweep(ValueFamily.UNIFORM, grid, n_agents=2000, seed=8)
-    for cpus in (2, 64):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+    def sweep_wide():
         wide = threshold_sweep(ValueFamily.UNIFORM, grid, n_agents=2000, seed=8,
                                workers=10**6)
         for field in dataclasses.fields(serial):
             np.testing.assert_array_equal(getattr(wide, field.name),
                                           getattr(serial, field.name))
-    assert sizes == [2, 3]
+
+    # The affinity mask bounds the pool, not the machine's CPU count.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    for cpus in (2, 64):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        sweep_wide()
+    # Without an affinity call, os.cpu_count() bounds it.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sweep_wide()
+    assert sizes == [2, 3, 2]
 
 
 def test_threshold_sweep_rejects_bad_grid():
