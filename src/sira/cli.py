@@ -37,7 +37,6 @@ failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -281,9 +280,6 @@ def _conversion(values: np.ndarray) -> str:
     return _CONVERSIONS.get(values.dtype.kind, "%s")
 
 
-# The digit tables are built on the first CSV write, not at import: JSON
-# runs and usage errors never need them.
-@functools.cache
 def _quad_table() -> np.ndarray:
     """The digit groups 0000 to 9999 as 4-byte words of ASCII digits, in
     four variants: all digits, then trailing zeros NUL, leading zeros NUL,
@@ -293,14 +289,13 @@ def _quad_table() -> np.ndarray:
     digits = (values // places % 10 + ord("0")).astype(np.uint8)
     stripped = [False, values % (10 * places) == 0, values < places,
                 (values < places) & (places > 1)]
-    table = np.concatenate([np.where(s, np.uint8(0), digits).view(np.uint32).ravel()
-                            for s in stripped])
-    table.flags.writeable = False
-    return table
+    return np.concatenate([np.where(s, np.uint8(0), digits).view(np.uint32).ravel()
+                           for s in stripped])
 
 
-# The variants' offsets into the quad table; all digits are at 0.
+# The variants' offsets into _QUADS; all digits are at 0.
 _TRAIL, _LEAD, _LEAD_KEEP0 = 10_000, 20_000, 30_000
+_QUADS = _quad_table()
 _MINUS = np.frombuffer(b"\0\0\0-", np.uint32)[0]
 
 
@@ -317,19 +312,15 @@ def _float_head(sign: str, k: int, d0: str, rest_zero: bool) -> str:
     return (sign + body).rjust(8, "\0")
 
 
-@functools.cache
-def _head_table() -> np.ndarray:
-    """Heads of fast float cells as 8-byte words, indexed by
-    100·sign + 20·(X + 4) + 2·d0 + (d1...d8 all zero). A fast cell, ±0 or
-    d0.d1...d8 · 10**X for X = -4..0, is its head followed by the groups
-    d1..d4 and d5..d8 with trailing zeros stripped."""
-    return np.frombuffer("".join(
-        _float_head(sign, k, d0, rest_zero)
-        for sign in ("", "-") for k in range(5) for d0 in "0123456789"
-        for rest_zero in (False, True)
-    ).encode(), np.uint64)
-
-
+# Heads of fast float cells as 8-byte words, indexed by
+# 100·sign + 20·(X + 4) + 2·d0 + (d1...d8 all zero). A fast cell, ±0 or
+# d0.d1...d8 · 10**X for X = -4..0, is its head followed by the groups
+# d1..d4 and d5..d8 with trailing zeros stripped.
+_HEADS = np.frombuffer("".join(
+    _float_head(sign, k, d0, rest_zero)
+    for sign in ("", "-") for k in range(5) for d0 in "0123456789"
+    for rest_zero in (False, True)
+).encode(), np.uint64)
 _SCALE = np.array([1e12, 1e11, 1e10, 1e9, 1e8])  # 10**(8 - X), exact
 
 
@@ -374,10 +365,9 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     head = 20 * k + 100 * np.signbit(x) + 2 * d0 + (low_zero & (middle == 0))
     cells = np.empty((x.size, 4), np.uint32)
     # A slow cell's d0 may be 10; its head is clipped, then overwritten.
-    cells.view(np.uint64)[:, 0] = np.take(_head_table(), head, mode="clip")
-    quads = _quad_table()
-    cells[:, 2] = np.take(quads, middle + _TRAIL * low_zero)
-    cells[:, 3] = np.take(quads, low + _TRAIL)
+    cells.view(np.uint64)[:, 0] = np.take(_HEADS, head, mode="clip")
+    cells[:, 2] = np.take(_QUADS, middle + _TRAIL * low_zero)
+    cells[:, 3] = np.take(_QUADS, low + _TRAIL)
     cells = cells.view(np.uint8)
     slow = np.flatnonzero(~fast)
     if slow.size:
@@ -396,16 +386,16 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
     n_groups = (len(str(magnitude.max())) + 3) // 4
     if n_groups <= 2:
         magnitude = magnitude.astype(np.uint32)
-    quads = _quad_table()
     cells = np.zeros((v.size, n_groups + (negative.size > 0)), np.uint32)
     cells[negative, 0] = _MINUS
     for i in range(1, n_groups):
         rest = magnitude // 10_000
         # Leading zeros are stripped where no higher group is left.
         strip = (rest == 0).astype(rest.dtype) * (_LEAD_KEEP0 if i == 1 else _LEAD)
-        cells[:, -i] = np.take(quads, magnitude - rest * 10_000 + strip)
+        cells[:, -i] = np.take(_QUADS, magnitude - rest * 10_000 + strip)
         magnitude = rest
-    cells[:, -n_groups] = np.take(quads, magnitude + (_LEAD if n_groups > 1 else _LEAD_KEEP0))
+    last = _LEAD if n_groups > 1 else _LEAD_KEEP0
+    cells[:, -n_groups] = np.take(_QUADS, magnitude + last)
     return cells.view(np.uint8)
 
 
