@@ -22,9 +22,11 @@ or infinite values) as null, and CSV writes them as nan. Only sweep
 reads --workers, and it never changes results; it only parallelizes the
 grid points. Options may also be supplied through --config FILE (JSON
 object keyed by option name); explicit flags win over the file, which
-wins over defaults.
-Unknown config fields are rejected. An artifact's config echo is itself
-a valid --config file.
+wins over defaults. A config file holds only the options of the config
+echo: --out, --format and --workers, like any unknown field, are
+rejected. An artifact's config echo is itself a valid --config file.
+Each option's name is the keyword under which the subcommand's library
+call takes it.
 
 An experiment's JSON results are its CSV columns, one array per column;
 sweep adds its paired participation uplift and that uplift's standard
@@ -57,7 +59,7 @@ from .experiments import (
     validate_product_distribution,
 )
 from .seeding import fresh_seed
-from .value_model import AgentValuation, ValueFamily
+from .value_model import ValueFamily
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -524,7 +526,7 @@ def _emit(
 
 # ---------------------------------------------------------------------------
 # Handlers. An option's dest is the keyword under which the library call
-# takes its value, so params that match a call pass straight through.
+# takes its value, so every handler passes its params straight through.
 
 
 # The engine of each per-agent subcommand, looked up by name in sira.mechanism
@@ -582,17 +584,7 @@ def _handle_agents(spec: RunSpec) -> Path:
 
 
 def _handle_deviation(spec: RunSpec) -> Path:
-    p = spec.params
-    total = p["probe_v_d"] + p["probe_v_p"]
-    if total <= 0.0:
-        raise ConfigError("probe values must not both be zero")
-    try:
-        probe = AgentValuation(total_value=total, scaling_factor=p["probe_v_p"] / total)
-    except DomainError as exc:
-        raise ConfigError(f"invalid probe valuation: {exc}") from None
-    result = deviation_sweep(
-        p["family"], p["p_eps"], probe, p["deltas"], p["n_opponents"], p["seed"]
-    )
+    result = deviation_sweep(**spec.params)
     zero = result.optimum_index
     summary = {
         "base_bid": result.bids[zero],
@@ -602,7 +594,7 @@ def _handle_deviation(spec: RunSpec) -> Path:
         "delta": result.deltas,
         "mean_utility": result.mean_utility,
         "std_err": result.std_error,
-        "n_samples": np.full(result.deltas.size, p["n_opponents"]),
+        "n_samples": np.full(result.deltas.size, spec.params["n_opponents"]),
         "bid": result.bids,
         "gap_vs_optimum": result.gap_vs_optimum,
         "gap_std_err": result.gap_std_error,
@@ -661,12 +653,11 @@ def _handle_validate_dist(spec: RunSpec) -> Path:
 
 
 def _handle_crosscheck(spec: RunSpec) -> Path:
-    p = spec.params
-    result = closed_form_vs_quadrature(p["family"], p["v_p_grid"], p["p_eps_list"])
+    result = closed_form_vs_quadrature(**spec.params)
     summary = {"max_abs_diff": result.max_abs_diff}
     n_p, n_v = result.closed_form.shape
     columns = {
-        "family": np.full(n_p * n_v, p["family"].value),
+        "family": np.full(n_p * n_v, spec.params["family"].value),
         "p_eps": np.repeat(result.p_eps, n_v),
         "v_p": np.tile(result.v_p, n_p),
         "closed_form_bid": result.closed_form.ravel(),

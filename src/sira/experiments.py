@@ -22,13 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .mechanism import AuctionConfig, _draw_population, _reserve_from_population, beats
+from .mechanism import AuctionConfig, beats, run_reserve_threshold
 from .seeding import STREAM_EXPERIMENT, child_seed, is_integer, substream
 from .strategy import (
-    _bid_and_cdf,
     cap_bid,
     check_p_eps,
-    predicted_utilities,
     realized_utilities,
     sira_bid,
     sira_bid_generic,
@@ -37,8 +35,8 @@ from .strategy import (
 )
 from .value_model import (
     PREMIUM_MAX,
-    AgentValuation,
     PremiumValueDistribution,
+    SafetyCostModel,
     ValueFamily,
     sample_total_values,
     sample_valuations,
@@ -117,22 +115,29 @@ class DeviationSweepResult:
 def deviation_sweep(
     family: ValueFamily,
     p_eps: float,
-    probe: AgentValuation,
+    probe_v_d: float,
+    probe_v_p: float,
     deltas,
     n_opponents: int,
     seed: int,
 ) -> DeviationSweepResult:
     """Measure the cost of deviating from the equilibrium bid.
 
-    A probe agent scales its equilibrium bid by (1 + delta) and faces
-    n_opponents equilibrium bidders drawn once and reused across the
-    whole grid (common random numbers). Deviated bids below the
-    clearing price are rejected outright, so their utility is the sunk
-    bid with zero variance. The grid is sorted, deduplicated, and
-    always includes delta = 0. Each bid's statistics follow exactly
-    from its win count; no per-opponent utility is materialised.
+    A probe agent with deployment value probe_v_d and premium value
+    probe_v_p, taken exactly as given, scales its equilibrium bid by
+    (1 + delta) and faces n_opponents equilibrium bidders drawn once and
+    reused across the whole grid (common random numbers). The probe
+    values must be a valid agent's: 0 <= probe_v_p <= probe_v_d and
+    probe_v_d + probe_v_p <= 1. Deviated bids below the clearing price
+    are rejected outright, so their utility is the sunk bid with zero
+    variance. The grid is sorted, deduplicated, and always includes
+    delta = 0. Each bid's statistics follow exactly from its win count;
+    no per-opponent utility is materialised.
     """
     check_p_eps(p_eps)
+    if not (0.0 <= probe_v_p <= probe_v_d and probe_v_d + probe_v_p <= 1.0):
+        raise DomainError("probe values need 0 <= probe_v_p <= probe_v_d and probe_v_d + "
+                          f"probe_v_p <= 1, got {probe_v_d!r} and {probe_v_p!r}")
     _check_count("n_opponents", n_opponents, 2)
     grid = np.unique(np.append(np.asarray(deltas, dtype=float), 0.0))
     if not np.all((grid >= -1.0) & (grid <= 1.0)):
@@ -143,8 +148,7 @@ def deviation_sweep(
     tie_rng = substream(seed, STREAM_EXPERIMENT, _EXP_DEVIATION, 1)
     coins = tie_rng.random(n_opponents) < 0.5
 
-    v_p = probe.premium_value
-    v_d = probe.deployment_value
+    v_d, v_p = float(probe_v_d), float(probe_v_p)
     bids = cap_bid((1.0 + grid) * submitted_bid(family, v_p, p_eps))
 
     # A bid realizes one utility when it wins and one when it loses, and
@@ -208,20 +212,15 @@ def _mechanism_stats(participates: np.ndarray, bid: np.ndarray) -> tuple[float, 
     return (*_mean_se(participates), *_mean_se(bid[np.flatnonzero(participates)]))
 
 
-def _sweep_point(
-    family: ValueFamily, p_eps: float, n_agents: int, point_seed: int, gamma: float
-) -> tuple[float, ...]:
+def _sweep_point(config: AuctionConfig) -> tuple[float, ...]:
     """One grid point's summary row, in ThresholdSweepResult field order.
 
-    The population is drawn once and fed to the reserve engine and the
-    SIRA decision kernel; the summary needs no premium contest.
+    The reserve engine draws the population, and the SIRA decision
+    kernel evaluates the same draw; the summary needs no premium contest.
     """
-    config = AuctionConfig(
-        n_agents=n_agents, p_eps=p_eps, family=family, seed=point_seed, gamma=gamma
-    )
-    total, lam = _draw_population(config)
-    reserve = _reserve_from_population(config, total, lam)
-    sira = sira_decision_arrays(total, lam, p_eps, family, config.model)
+    reserve = run_reserve_threshold(config)
+    sira = sira_decision_arrays(reserve.deployment_value, reserve.premium_value,
+                                config.p_eps, config.family, config.model)
     res_stats = _mechanism_stats(reserve.participates, reserve.bid)
     sira_stats = _mechanism_stats(sira.participates, sira.bid)
     paired = sira.participates.astype(float) - reserve.participates.astype(float)
@@ -247,30 +246,30 @@ def threshold_sweep(
     """Compare the two mechanisms across a grid of clearing prices.
 
     Grid points are independent (per-point seeds derived from the grid
-    index), so they may be evaluated by a thread pool of
+    index), so they are evaluated by a thread pool of
     ``min(workers, grid points, CPUs)`` threads; results are assembled in
-    grid order and do not depend on the worker count.
+    grid order and do not depend on the worker count. Every argument is
+    checked before the first point runs, and a bad one raises DomainError.
     """
+    if not isinstance(family, ValueFamily):
+        raise DomainError(f"family must be a ValueFamily, got {family!r}")
     grid = np.asarray(p_eps_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("p_eps_grid must be a non-empty one-dimensional grid")
     for p in grid:
         check_p_eps(p)
     _check_count("n_agents", n_agents, 2)
+    SafetyCostModel(gamma)  # raises DomainError for a bad gamma
     _check_count("workers", workers, 1)
 
-    point_seeds = [child_seed(seed, STREAM_EXPERIMENT, _EXP_SWEEP, i) for i in range(grid.size)]
-
-    def evaluate(i: int) -> tuple[float, ...]:
-        return _sweep_point(family, float(grid[i]), n_agents, point_seeds[i], gamma)
-
+    configs = [
+        AuctionConfig(n_agents=n_agents, p_eps=float(p), family=family, gamma=gamma,
+                      seed=child_seed(seed, STREAM_EXPERIMENT, _EXP_SWEEP, i))
+        for i, p in enumerate(grid)
+    ]
     # pool.map submits every point at once, so bound the threads it starts.
-    workers = min(workers, grid.size, _usable_cpus())
-    if workers == 1:
-        rows = [evaluate(i) for i in range(grid.size)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, range(grid.size)))
+    with ThreadPoolExecutor(max_workers=min(workers, grid.size, _usable_cpus())) as pool:
+        rows = list(pool.map(_sweep_point, configs))
     columns = (np.array(column) for column in zip(*rows))
     return ThresholdSweepResult(grid, *columns)
 
@@ -372,7 +371,7 @@ class BidCrosscheck:
 
 
 def closed_form_vs_quadrature(
-    family: ValueFamily, v_p_grid, p_eps_grid
+    family: ValueFamily, v_p_grid, p_eps_list
 ) -> BidCrosscheck:
     """Evaluate both bid routes over a grid and report the worst gap.
 
@@ -381,7 +380,7 @@ def closed_form_vs_quadrature(
     integrates the cdf numerically. Rows index p_eps, columns index v_p.
     """
     v_grid = np.asarray(v_p_grid, dtype=float)
-    p_grid = np.asarray(p_eps_grid, dtype=float)
+    p_grid = np.asarray(p_eps_list, dtype=float)
     if v_grid.ndim != 1 or v_grid.size == 0 or p_grid.ndim != 1 or p_grid.size == 0:
         raise DomainError("grids must be non-empty and one-dimensional")
     if not np.all((v_grid >= 0.0) & (v_grid <= PREMIUM_MAX)):
@@ -487,14 +486,13 @@ def equilibrium_crosscheck(
     dist = PremiumValueDistribution(family=family, p_eps=p_eps)
     totals, premiums = _bucket_agents(dist, lo, hi, n_pairings, probe_rng)
     deployments = totals - premiums
-    raw, cdf = _bid_and_cdf(family, premiums, p_eps)
-    bids = cap_bid(raw)
+    decision = sira_decision_arrays(deployments, premiums, p_eps, family, SafetyCostModel())
 
     tie_rng = substream(seed, STREAM_EXPERIMENT, _EXP_EQ_CHECK, 2)
     coins = tie_rng.random(n_pairings) < 0.5
-    won = beats(bids, opp_bids, coins)
-    realized = realized_utilities(deployments, premiums, bids, True, won)
-    predicted = predicted_utilities(deployments, premiums, bids, cdf)
+    won = beats(decision.bid, opp_bids, coins)
+    realized = realized_utilities(deployments, premiums, decision.bid, True, won)
+    predicted = decision.predicted_utility
     gap, gap_se = _mean_se(realized - predicted)
     return EquilibriumCrosscheck(
         family=family,

@@ -263,7 +263,8 @@ def _reserve_from_population(
 def _sira_from_population(
     config: AuctionConfig, total: np.ndarray, lam: np.ndarray, rounds: int
 ) -> AuctionReport:
-    decision = sira_decision_arrays(total, lam, config.p_eps, config.family, config.model)
+    v_p = lam * total
+    decision = sira_decision_arrays(total - v_p, v_p, config.p_eps, config.family, config.model)
     accepted_index = np.flatnonzero(decision.participates)
     accepted_bids = decision.bid[accepted_index]
     award_round = _AWARD_ROUND[config.pairing]

@@ -176,22 +176,22 @@ def reserve_threshold_bid(
 
 
 def sira_decision_arrays(
-    total_value: np.ndarray,
-    scaling_factor: np.ndarray,
+    deployment_value: np.ndarray,
+    premium_value: np.ndarray,
     p_eps: float,
     family: ValueFamily,
     model: SafetyCostModel,
 ) -> DecisionArrays:
     """Evaluate the SIRA strategy for a whole population at once.
 
-    The equilibrium bid never falls below the clearing price, and the cap
+    The one place where a SIRA decision is built: the equilibrium bid,
+    its cap, the predicted utility, participation and safety. The
+    equilibrium bid never falls below the clearing price, and the cap
     at 1 lies above it, so a participant bidding below the price is a
     numerical failure and raises NumericalError.
     """
-    total = np.asarray(total_value, dtype=float)
-    lam = np.asarray(scaling_factor, dtype=float)
-    v_p = lam * total
-    v_d = total - v_p
+    v_d = np.asarray(deployment_value, dtype=float)
+    v_p = np.asarray(premium_value, dtype=float)
     raw, cdf_vals = _bid_and_cdf(family, v_p, p_eps)
     bid = cap_bid(raw)
     utility = predicted_utilities(v_d, v_p, bid, cdf_vals)
@@ -211,8 +211,8 @@ def decide(
     """Full SIRA decision for one agent: bid, cap, utility, participation."""
     return _first_decision(
         sira_decision_arrays(
-            np.array([valuation.total_value]),
-            np.array([valuation.scaling_factor]),
+            np.array([valuation.deployment_value]),
+            np.array([valuation.premium_value]),
             p_eps,
             family,
             model,

@@ -130,7 +130,8 @@ def test_criterion_4_no_profitable_deviation():
         for p_eps in (0.25, 0.5, 0.75):
             t0 = time.perf_counter()
             result = deviation_sweep(
-                family, p_eps, PROBE, deltas, n_opponents=100_000, seed=SEED
+                family, p_eps, PROBE.deployment_value, PROBE.premium_value, deltas,
+                n_opponents=100_000, seed=SEED,
             )
             max_config_time = max(max_config_time, time.perf_counter() - t0)
             zero = int(np.flatnonzero(result.deltas == 0.0)[0])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import sira.cli as cli
 from sira import mechanism
 from sira.errors import ConfigError, NumericalError
+from sira.experiments import deviation_sweep
 from sira.mechanism import PairingMode
 from sira.value_model import ValueFamily
 
@@ -646,14 +647,6 @@ def test_same_seed_same_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_worker_count_does_not_change_bytes(tmp_path):
-    a, b = tmp_path / "w1.csv", tmp_path / "w4.csv"
-    base = ["sweep", "--p-eps-grid", "0.3,0.5,0.7", "--n-agents", "3000", "--seed", "8"]
-    assert _run(base + ["--out", str(a), "--workers", "1"]) == 0
-    assert _run(base + ["--out", str(b), "--workers", "4"]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 REPLAY_RUNS = {
     "auction": ["--family", "beta22", "--pairing", "perfect", "--n-agents", "300", "--seed", "3"],
     "reserve": ["--n-agents", "300", "--gamma", "2", "--seed", "4"],
@@ -679,6 +672,110 @@ def test_config_echo_replays_to_the_same_bytes(name, fmt, tmp_path):
     code = _run([name, "--config", str(cfg), "--format", fmt, "--out", str(replay)])
     assert code == cli.EXIT_OK
     assert first.read_bytes() == replay.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Option audit: every option of every subcommand reaches the artifact.
+
+# Values to change each option to; the first that differs from the option's
+# value in the REPLAY_RUNS input is used.
+_AUDIT_VALUES = {
+    "n_agents": ["257"],
+    "p_eps": ["0.35"],
+    "family": ["uniform", "beta22"],
+    "gamma": ["3"],
+    "seed": ["99"],
+    "pairing": ["independent", "perfect"],
+    "rounds": ["3"],
+    "probe_v_d": ["0.3"],
+    "probe_v_p": ["0.1"],
+    "deltas": ["-0.2,0.2"],
+    "n_opponents": ["400"],
+    "p_eps_grid": ["0.3,0.6"],
+    "n_samples": ["1500"],
+    "bins": ["12"],
+    "v_p_grid": ["0:0.4:5"],
+    "p_eps_list": ["0.4"],
+}
+_DEAD_OPTION = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="sweep --gamma is validated and echoed but changes no result (ROADMAP item 4)",
+)
+
+
+def _audit_cases():
+    for name, command in cli._COMMANDS.items():
+        for opt in command.options:
+            marks = _DEAD_OPTION if (name, opt.dest) == ("sweep", "gamma") else ()
+            yield pytest.param(name, opt, marks=marks, id=name + opt.flag)
+
+
+def _without_config_echo(path):
+    lines = _read_lines(path)
+    assert lines[1].startswith("# config ")
+    return lines[:1] + lines[2:]
+
+
+@pytest.mark.parametrize("name, opt", _audit_cases())
+def test_every_option_changes_the_artifact(name, opt, tmp_path):
+    argv = [name, *REPLAY_RUNS[name]]
+    base = cli.parse_run_spec(argv).params[opt.dest]
+    value = next(v for v in _AUDIT_VALUES[opt.dest] if opt.convert(v) != base)
+    first, changed = tmp_path / "first.csv", tmp_path / "changed.csv"
+    assert _run([*argv, "--out", str(first)]) == cli.EXIT_OK
+    assert _run([*argv, f"{opt.flag}={value}", "--out", str(changed)]) == cli.EXIT_OK
+    assert _without_config_echo(first) != _without_config_echo(changed)
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_worker_count_does_not_change_bytes(name, fmt, tmp_path):
+    # The stated rule for --workers: every subcommand accepts it, only
+    # sweep reads it, to spread its grid points over threads.
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.{fmt}"
+        argv = [name, *REPLAY_RUNS[name], "--workers", workers, "--format", fmt]
+        assert _run([*argv, "--out", str(out)]) == cli.EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_deviation_simulates_the_probe_as_given(tmp_path):
+    # 0.3 and 0.1 do not survive a trip through a total value and a
+    # scaling factor: that route simulates v_d = 0.30000000000000004.
+    out = tmp_path / "d.json"
+    argv = ["deviation", "--family", "beta22", "--p-eps", "0.4", "--probe-v-d", "0.3",
+            "--probe-v-p", "0.1", "--deltas=-0.1,0.1", "--n-opponents", "3000", "--seed", "6",
+            "--format", "json", "--out", str(out)]
+    assert _run(argv) == cli.EXIT_OK
+    results = json.loads(out.read_text(encoding="utf-8"))["results"]
+    expected = deviation_sweep(ValueFamily.BETA22, 0.4, 0.3, 0.1, [-0.1, 0.1], 3000, 6)
+    for column, values in (
+        ("bid", expected.bids),
+        ("mean_utility", expected.mean_utility),
+        ("std_err", expected.std_error),
+        ("gap_vs_optimum", expected.gap_vs_optimum),
+        ("gap_std_err", expected.gap_std_error),
+    ):
+        assert results[column] == values.tolist(), column
+
+
+@pytest.mark.parametrize("v_d, v_p, code", [
+    ("0", "0", cli.EXIT_OK),  # an agent with V = 0
+    ("0.5", "0.5", cli.EXIT_OK),
+    ("0.2", "0.3", cli.EXIT_USAGE),
+    ("0.8", "0.3", cli.EXIT_USAGE),
+    ("0.5", "-0.1", cli.EXIT_USAGE),
+    ("nan", "0.1", cli.EXIT_USAGE),
+])
+def test_deviation_probe_must_be_a_valid_agent(v_d, v_p, code, tmp_path, capsys):
+    argv = ["deviation", "--probe-v-d", v_d, "--probe-v-p", v_p, "--n-opponents", "200",
+            "--seed", "1", "--out", str(tmp_path / "d.csv")]
+    assert _run(argv) == code
+    if code == cli.EXIT_USAGE:
+        assert "probe values" in capsys.readouterr().err
 
 
 def test_different_seed_changes_bytes(tmp_path):

@@ -24,14 +24,13 @@ from sira.mechanism import beats
 from sira.seeding import STREAM_EXPERIMENT, substream
 from sira.strategy import cap_bid, predicted_utilities, realized_utilities, sira_bid, submitted_bid
 from sira.value_model import (
-    AgentValuation,
     PremiumValueDistribution,
     ValueFamily,
     sample_scaling_factors,
     sample_total_values,
 )
 
-PROBE = AgentValuation(total_value=0.75, scaling_factor=1.0 / 3.0)  # v_d=0.5, v_p=0.25
+PROBE = (0.5, 0.25)  # probe_v_d, probe_v_p
 DELTAS = [-0.5, -0.25, -0.1, 0.1, 0.25, 0.5]
 
 
@@ -41,7 +40,7 @@ DELTAS = [-0.5, -0.25, -0.1, 0.1, 0.25, 0.5]
 
 def test_deviation_grid_always_contains_zero():
     result = deviation_sweep(
-        ValueFamily.UNIFORM, 0.5, PROBE, [0.2, -0.2], n_opponents=500, seed=3
+        ValueFamily.UNIFORM, 0.5, *PROBE, [0.2, -0.2], n_opponents=500, seed=3
     )
     assert 0.0 in result.deltas
     assert result.deltas.size == 3
@@ -50,28 +49,28 @@ def test_deviation_grid_always_contains_zero():
 
 def test_deviation_bids_scale_and_cap():
     result = deviation_sweep(
-        ValueFamily.UNIFORM, 0.5, PROBE, [-0.5, 0.9], n_opponents=500, seed=3
+        ValueFamily.UNIFORM, 0.5, *PROBE, [-0.5, 0.9], n_opponents=500, seed=3
     )
-    base = float(sira_bid(ValueFamily.UNIFORM, PROBE.premium_value, 0.5))
+    base = float(sira_bid(ValueFamily.UNIFORM, PROBE[1], 0.5))
     expected = np.minimum((1.0 + result.deltas) * base, 1.0)
     np.testing.assert_allclose(result.bids, expected, atol=1e-15)
 
 
 def test_deviation_zero_matches_predicted_utility():
     result = deviation_sweep(
-        ValueFamily.UNIFORM, 0.5, PROBE, DELTAS, n_opponents=30_000, seed=9
+        ValueFamily.UNIFORM, 0.5, *PROBE, DELTAS, n_opponents=30_000, seed=9
     )
     i0 = int(np.flatnonzero(result.deltas == 0.0)[0])
     dist = PremiumValueDistribution(ValueFamily.UNIFORM, 0.5)
-    bid = float(sira_bid(ValueFamily.UNIFORM, PROBE.premium_value, 0.5))
-    v_p = PROBE.premium_value
-    predicted = float(predicted_utilities(PROBE.deployment_value, v_p, bid, dist.cdf(v_p)))
+    v_d, v_p = PROBE
+    bid = float(sira_bid(ValueFamily.UNIFORM, v_p, 0.5))
+    predicted = float(predicted_utilities(v_d, v_p, bid, dist.cdf(v_p)))
     assert abs(result.mean_utility[i0] - predicted) <= 3.0 * result.std_error[i0]
 
 
 def test_deviation_equilibrium_is_grid_optimum():
     for family in ValueFamily:
-        result = deviation_sweep(family, 0.5, PROBE, DELTAS, n_opponents=30_000, seed=9)
+        result = deviation_sweep(family, 0.5, *PROBE, DELTAS, n_opponents=30_000, seed=9)
         i0 = int(np.flatnonzero(result.deltas == 0.0)[0])
         assert result.optimum_index == i0
         assert result.gap_vs_optimum[i0] == 0.0
@@ -87,7 +86,7 @@ def test_deviation_sub_threshold_bid_loses_stake_exactly():
     # Cutting the bid in half lands below the clearing price, so every
     # draw realizes exactly -bid: no variance, no acceptance.
     result = deviation_sweep(
-        ValueFamily.UNIFORM, 0.5, PROBE, [-0.5], n_opponents=2000, seed=5
+        ValueFamily.UNIFORM, 0.5, *PROBE, [-0.5], n_opponents=2000, seed=5
     )
     i = int(np.flatnonzero(result.deltas == -0.5)[0])
     assert result.bids[i] < 0.5
@@ -96,24 +95,24 @@ def test_deviation_sub_threshold_bid_loses_stake_exactly():
 
 
 def test_deviation_sweep_deterministic():
-    a = deviation_sweep(ValueFamily.BETA22, 0.5, PROBE, DELTAS, 4000, seed=12)
-    b = deviation_sweep(ValueFamily.BETA22, 0.5, PROBE, DELTAS, 4000, seed=12)
+    a = deviation_sweep(ValueFamily.BETA22, 0.5, *PROBE, DELTAS, 4000, seed=12)
+    b = deviation_sweep(ValueFamily.BETA22, 0.5, *PROBE, DELTAS, 4000, seed=12)
     np.testing.assert_array_equal(a.mean_utility, b.mean_utility)
     np.testing.assert_array_equal(a.gap_std_error, b.gap_std_error)
 
 
 def test_deviation_sweep_rejects_bad_deltas():
     with pytest.raises(DomainError):
-        deviation_sweep(ValueFamily.UNIFORM, 0.5, PROBE, [1.5], 100, seed=1)
+        deviation_sweep(ValueFamily.UNIFORM, 0.5, *PROBE, [1.5], 100, seed=1)
     with pytest.raises(DomainError):
-        deviation_sweep(ValueFamily.UNIFORM, 0.5, PROBE, [-1.1], 100, seed=1)
+        deviation_sweep(ValueFamily.UNIFORM, 0.5, *PROBE, [-1.1], 100, seed=1)
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(DomainError):
-            deviation_sweep(ValueFamily.UNIFORM, 0.5, PROBE, [bad, 0.1], 100, seed=1)
+            deviation_sweep(ValueFamily.UNIFORM, 0.5, *PROBE, [bad, 0.1], 100, seed=1)
 
 
 def test_deviation_sweep_empty_grid_collapses_to_equilibrium():
-    result = deviation_sweep(ValueFamily.UNIFORM, 0.5, PROBE, [], 100, seed=1)
+    result = deviation_sweep(ValueFamily.UNIFORM, 0.5, *PROBE, [], 100, seed=1)
     np.testing.assert_array_equal(result.deltas, [0.0])
 
 
@@ -129,7 +128,7 @@ def _materialised_deviation(family, p_eps, probe, deltas, n_opponents, seed):
     opp_bids = experiments._equilibrium_bids(family, p_eps, n_opponents, substream(seed, *key, 0))
     coins = substream(seed, *key, 1).random(n_opponents) < 0.5
     grid = np.unique(np.append(np.asarray(deltas, dtype=float), 0.0))
-    v_p, v_d = probe.premium_value, probe.deployment_value
+    v_d, v_p = probe
     bids = cap_bid((1.0 + grid) * submitted_bid(family, v_p, p_eps))
 
     def utilities(bid):
@@ -145,7 +144,7 @@ def _materialised_deviation(family, p_eps, probe, deltas, n_opponents, seed):
     return bids, [np.array(column) for column in zip(*rows)]
 
 
-CAPPED_PROBE = AgentValuation(total_value=1.0, scaling_factor=0.5)  # the top bid
+CAPPED_PROBE = (0.5, 0.5)  # the top bid
 
 
 @pytest.mark.parametrize("family", list(ValueFamily))
@@ -153,7 +152,7 @@ CAPPED_PROBE = AgentValuation(total_value=1.0, scaling_factor=0.5)  # the top bi
 @pytest.mark.parametrize("probe", [PROBE, CAPPED_PROBE], ids=["probe", "top"])
 def test_deviation_counts_match_the_materialised_utilities(family, p_eps, probe):
     deltas = [-1.0, -0.5, -0.1, -1e-3, 1e-3, 0.1, 0.5, 1.0]
-    result = deviation_sweep(family, p_eps, probe, deltas, n_opponents=20_000, seed=4)
+    result = deviation_sweep(family, p_eps, *probe, deltas, n_opponents=20_000, seed=4)
     bids, expected = _materialised_deviation(family, p_eps, probe, deltas, 20_000, seed=4)
     np.testing.assert_array_equal(result.bids, bids)
     for got, want in zip(
@@ -166,7 +165,7 @@ def test_deviation_counts_match_the_materialised_utilities(family, p_eps, probe)
 def test_deviation_ties_with_capped_opponents_come_from_coins():
     # At p 0.9 about a third of the pool bids the cap, so a capped probe
     # ties with them and wins only the coins it is dealt.
-    result = deviation_sweep(ValueFamily.UNIFORM, 0.9, CAPPED_PROBE, [1.0], 20_000, seed=4)
+    result = deviation_sweep(ValueFamily.UNIFORM, 0.9, *CAPPED_PROBE, [1.0], 20_000, seed=4)
     assert np.all(result.bids == 1.0)
     pool = experiments._equilibrium_bids(
         ValueFamily.UNIFORM, 0.9, 20_000,
@@ -174,7 +173,7 @@ def test_deviation_ties_with_capped_opponents_come_from_coins():
     )
     capped = int(np.count_nonzero(pool == 1.0))
     assert 5_000 < capped < 15_000
-    wins = (result.mean_utility[0] - (CAPPED_PROBE.deployment_value - 1.0)) / 0.5 * 20_000
+    wins = (result.mean_utility[0] - (CAPPED_PROBE[0] - 1.0)) / 0.5 * 20_000
     assert 20_000 - capped < round(wins) < 20_000
     assert result.std_error[0] > 0.0
 
@@ -183,13 +182,14 @@ def test_deviation_ties_with_capped_opponents_come_from_coins():
 def test_deviation_se_is_exactly_zero_when_all_or_no_opponents_are_beaten(family):
     # A zero premium bids exactly the price and beats nobody; the largest
     # premium at p 0.5 bids below the cap and beats everybody.
-    nobody = AgentValuation(total_value=0.5, scaling_factor=0.0)
+    nobody = (0.5, 0.0)
     for probe in (nobody, CAPPED_PROBE):
-        result = deviation_sweep(family, 0.5, probe, [], n_opponents=20_000, seed=4)
+        result = deviation_sweep(family, 0.5, *probe, [], n_opponents=20_000, seed=4)
         assert result.bids[0] < 1.0
         assert result.std_error[0] == 0.0
-        won_value = probe.premium_value if probe is CAPPED_PROBE else 0.0
-        assert result.mean_utility[0] == probe.deployment_value + won_value - result.bids[0]
+        v_d, v_p = probe
+        won_value = v_p if probe is CAPPED_PROBE else 0.0
+        assert result.mean_utility[0] == v_d + won_value - result.bids[0]
 
 
 # The first pair's difference rounds, so deviations taken from the value
@@ -211,7 +211,7 @@ def test_deviation_sweep_memory_does_not_grow_with_the_grid():
         deltas = np.linspace(-0.5, 0.5, n_deltas)
         tracemalloc.start()
         try:
-            deviation_sweep(ValueFamily.UNIFORM, 0.5, PROBE, deltas, n_opponents=200_000, seed=6)
+            deviation_sweep(ValueFamily.UNIFORM, 0.5, *PROBE, deltas, n_opponents=200_000, seed=6)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -299,7 +299,7 @@ def test_threshold_sweep_bounds_its_thread_pool(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     sweep_wide()
-    assert sizes == [2, 3, 2]
+    assert sizes == [1, 2, 3, 2]
 
 
 def test_threshold_sweep_rejects_bad_grid():
@@ -365,7 +365,7 @@ UNIFORM = ValueFamily.UNIFORM
 # n, returning one statistic of the result.
 _COUNTS = {
     "n_opponents": lambda n: deviation_sweep(
-        UNIFORM, 0.5, PROBE, DELTAS, n, seed=1
+        UNIFORM, 0.5, *PROBE, DELTAS, n, seed=1
     ).mean_utility,
     "n_samples": lambda n: validate_product_distribution(
         UNIFORM, 0.5, n, 20, seed=1
@@ -394,12 +394,18 @@ def test_sample_sizes_must_be_integers(name, n):
         _COUNTS[name](n)
 
 
-@pytest.mark.parametrize("name, low", [("n_agents", 2), ("workers", 1)])
-def test_threshold_sweep_counts_below_their_minimum_are_domain_errors(name, low):
+@pytest.mark.parametrize("argument, match", [
+    ({"n_agents": 1}, "n_agents must be an integer >= 2"),
+    ({"workers": 0}, "workers must be an integer >= 1"),
+    ({"gamma": 0.0}, "gamma must be a positive real"),
+    ({"family": "uniform"}, "family must be a ValueFamily"),
+], ids=["n_agents", "workers", "gamma", "family"])
+def test_bad_threshold_sweep_arguments_are_domain_errors(argument, match):
     # DomainError, like every other experiment argument; not the
     # ConfigError of the engine configuration the sweep builds.
-    with pytest.raises(DomainError, match=f"{name} must be an integer >= {low}"):
-        _COUNTS[name](low - 1)
+    sweep = {"family": UNIFORM, "p_eps_grid": [0.3, 0.6], "n_agents": 200, "seed": 1}
+    with pytest.raises(DomainError, match=match):
+        threshold_sweep(**{**sweep, **argument})
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import sira.strategy as strategy
 from sira.errors import ConfigError, NumericalError
-from sira.experiments import threshold_sweep
+from sira.experiments import equilibrium_crosscheck, threshold_sweep
 from sira.mechanism import (
     RESERVE_THRESHOLD,
     SIRA,
@@ -28,7 +28,7 @@ from sira.mechanism import (
 )
 from sira.seeding import substream
 from sira.strategy import decide, realized_utilities
-from sira.value_model import AgentValuation, ValueFamily
+from sira.value_model import AgentValuation, PremiumValueDistribution, ValueFamily
 
 # Brute-force Monte Carlo oracle for P((1 - lambda) V > 1/2), frozen from
 # an independent 10^7-draw simulation; the uniform case also has the
@@ -333,6 +333,8 @@ def test_participant_bid_below_the_price_is_a_numerical_error(monkeypatch):
         threshold_sweep(config.family, [config.p_eps], n_agents=100, seed=1)
     with pytest.raises(NumericalError, match="below the clearing price"):
         decide(AgentValuation(0.9, 0.2), config.p_eps, config.family)
+    with pytest.raises(NumericalError, match="below the clearing price"):
+        equilibrium_crosscheck(config.family, config.p_eps, 0.1, 0.02, 100, seed=1)
 
 
 def test_sira_perfect_matching_round_counts():
@@ -405,6 +407,47 @@ def test_repeated_rounds_use_distinct_pairing_streams():
     config = _config(n_agents=5000, rounds=2)
     report = run_repeated_sira(config)
     assert not np.array_equal(report.won_by_round[0], report.won_by_round[1])
+
+
+# ---------------------------------------------------------------------------
+# The equilibrium the engines assume against the contest they run
+# (ROADMAP item 3). Each check asks for agreement within 3 standard errors
+# among the participants of a 2e5-agent run at seed 5.
+
+
+def _within_3_se(differences):
+    mean = differences.mean()
+    se = differences.std(ddof=1) / np.sqrt(differences.size)
+    assert abs(mean) <= 3.0 * se, (mean, se)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="engine participants are not the V >= p_eps population F describes (ROADMAP item 3)",
+)
+@pytest.mark.parametrize("family, p_eps", [
+    (ValueFamily.UNIFORM, 0.2),  # z -12
+    (ValueFamily.UNIFORM, 0.8),  # z +70
+    (ValueFamily.BETA22, 0.5),  # z +11
+])
+def test_participants_win_at_the_rate_their_bid_assumes(family, p_eps):
+    report = run_sira(_config(n_agents=200_000, p_eps=p_eps, family=family, seed=5))
+    idx = np.flatnonzero(report.participates)
+    cdf = PremiumValueDistribution(family, p_eps).cdf(report.premium_value[idx])
+    _within_3_se(report.won_premium[idx] - cdf)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="repeat awards the premium every round to a one-round bid (ROADMAP item 3)",
+)
+def test_repeated_participants_realize_their_predicted_utility():
+    # z +307 at R = 3.
+    report = run_repeated_sira(_config(n_agents=200_000, p_eps=0.3, seed=5, rounds=3))
+    idx = np.flatnonzero(report.participates)
+    _within_3_se(report.realized_utility[idx] - report.predicted_utility[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,8 @@ def test_decision_arrays_match_scalar_decisions():
     rng = substream(77, 0)
     totals, lams = sample_valuations(ValueFamily.BETA22, rng, 200)
     model = SafetyCostModel(gamma=2.0)
-    arrays = sira_decision_arrays(totals, lams, 0.4, ValueFamily.BETA22, model)
+    premiums = lams * totals
+    arrays = sira_decision_arrays(totals - premiums, premiums, 0.4, ValueFamily.BETA22, model)
     for i in range(totals.size):
         valuation = AgentValuation(float(totals[i]), float(lams[i]))
         d = decide(valuation, 0.4, ValueFamily.BETA22, model=model)
@@ -350,9 +351,10 @@ def test_decision_arrays_match_scalar_decisions():
 def test_safety_meets_floor_for_participants():
     rng = substream(78, 0)
     totals, lams = sample_valuations(ValueFamily.UNIFORM, rng, 5000)
+    premiums = lams * totals
     for gamma in (1.0, 2.0):
         model = SafetyCostModel(gamma=gamma)
-        arrays = sira_decision_arrays(totals, lams, 0.5, ValueFamily.UNIFORM, model)
+        arrays = sira_decision_arrays(totals - premiums, premiums, 0.5, ValueFamily.UNIFORM, model)
         floor = model.safety_from_bid(0.5)
         active = arrays.participates
         assert np.all(arrays.safety[active] >= floor - 1e-12)
