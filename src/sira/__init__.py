@@ -25,7 +25,7 @@ from .value_model import (
     sample_valuations,
 )
 from .strategy import (
-    BidDecision,
+    Decision,
     P_EPS_MAX,
     P_EPS_MIN,
     cap_bid,
@@ -76,7 +76,7 @@ __all__ = [
     "sample_valuations",
     "P_EPS_MIN",
     "P_EPS_MAX",
-    "BidDecision",
+    "Decision",
     "cap_bid",
     "sira_bid",
     "sira_bid_generic",

@@ -10,23 +10,23 @@ help, its options and its handler.
 Every output file is self-describing: it carries the tool version and
 the echoed run configuration, including the seed, and contains no
 timestamps, so rerunning the same specification writes byte-identical
-files. CSV cells are the bytes of C printf conversions (%.9g for
-floats, %d for integers and bools, %s for text). Rows are written in
-blocks; numpy digit arithmetic builds integers, bools, ±0 and floats
-with 1e-4 <= |x| < 10, and every other cell goes through %, one cell at
-a time (see _float_cells for why the digits are exact). JSON is compact
-(sorted keys, no whitespace) and long arrays are written in blocks;
-either way the text held in memory stays bounded. Pipe JSON through
-`python -m json.tool` to read it. JSON writes undefined statistics (nan
-or infinite values) as null, and CSV writes them as nan. Only sweep
-reads --workers, and it never changes results; it only parallelizes the
-grid points. Options may also be supplied through --config FILE (JSON
-object keyed by option name); explicit flags win over the file, which
-wins over defaults. A config file holds only the options of the config
-echo: --out, --format and --workers, like any unknown field, are
-rejected. An artifact's config echo is itself a valid --config file.
-Each option's name is the keyword under which the subcommand's library
-call takes it.
+files. CSV cells, the summary lines' values included, are the bytes of C
+printf conversions (%.9g for floats, %d for integers and bools) and str
+for text. Rows are written in blocks; numpy digit arithmetic builds
+integers, bools, ±0 and floats with 1e-4 <= |x| < 10, and every other
+cell is formatted one at a time (see _float_cells for why the digits are
+exact). JSON is compact (sorted keys, no whitespace) and long arrays are
+written in blocks; either way the text held in memory stays bounded.
+Pipe JSON through `python -m json.tool` to read it. JSON writes
+undefined statistics (nan or infinite values) as null, and CSV writes
+them as nan. Only sweep reads --workers, and it never changes results;
+it only parallelizes the grid points. Options may also be supplied
+through --config FILE (JSON object keyed by option name); explicit flags
+win over the file, which wins over defaults. A config file holds only
+the options of the config echo: --out, --format and --workers, like any
+unknown field, are rejected. An artifact's config echo is itself a valid
+--config file. Each option's name is the keyword under which the
+subcommand's library call takes it.
 
 An experiment's JSON results are its CSV columns, one array per column;
 sweep adds its paired participation uplift and that uplift's standard
@@ -273,15 +273,6 @@ def parse_run_spec(argv: list[str] | None = None) -> RunSpec:
 _BLOCK_ROWS = 1 << 12
 
 
-# printf conversion of a CSV cell by dtype kind; %d writes bools as 1/0.
-# Any other kind is written as str().
-_CONVERSIONS = {"f": "%.9g", "b": "%d", "i": "%d", "u": "%d"}
-
-
-def _conversion(values: np.ndarray) -> str:
-    return _CONVERSIONS.get(values.dtype.kind, "%s")
-
-
 def _quad_table() -> np.ndarray:
     """The digit groups 0000 to 9999 as 4-byte words of ASCII digits, in
     four variants: all digits, then trailing zeros NUL, leading zeros NUL,
@@ -373,7 +364,7 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     cells = cells.view(np.uint8)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        slots = _slots([_CONVERSIONS["f"] % v for v in x[slow].tolist()])
+        slots = _slots(["%.9g" % v for v in x[slow].tolist()])
         cells[slow, : slots.shape[1]] = slots
         cells[slow, slots.shape[1] :] = 0
     return cells
@@ -417,21 +408,22 @@ def _block_cells(block: list[np.ndarray]) -> list[np.ndarray]:
         elif column.dtype.kind in "biu":
             cells.append(_int_cells(column))
         else:
-            conversion = _conversion(column)
-            cells.append(_slots([conversion % (v,) for v in column.tolist()]))
+            cells.append(_slots([str(v) for v in column.tolist()]))
     return cells
 
 
 def _csv_rows(columns: dict[str, np.ndarray]):
     """CSV data rows as text, one string per block of ``_BLOCK_ROWS`` rows.
 
-    The text is each cell's ``_CONVERSIONS`` rule, byte for byte. A block
-    is built as one byte matrix: each cell sits in a fixed-width slot,
-    padded with NUL, and is followed by its comma or newline. The block's
-    text is the matrix without its NULs; a cell never holds NUL. Digit
-    arithmetic fills the slots of integers, bools, ±0 and floats with
-    1e-4 <= |x| < 10 (``_int_cells``, ``_float_cells``), and ``%`` fills
-    every other slot, one cell at a time.
+    The text is each cell's printf conversion, byte for byte: ``%.9g`` for
+    floats, ``%d`` for integers and bools (1/0), and ``str`` for any other
+    kind. A block is built as one byte matrix: each cell sits in a
+    fixed-width slot, padded with NUL, and is followed by its comma or
+    newline. The block's text is the matrix without its NULs; a cell
+    never holds NUL. Digit arithmetic fills the slots of integers, bools,
+    ±0 and floats with 1e-4 <= |x| < 10 (``_int_cells``,
+    ``_float_cells``), and every other slot is formatted one cell at a
+    time.
     """
     values = list(columns.values())
     n_rows = len(values[0])
@@ -517,8 +509,8 @@ def _emit(
         else:
             handle.write(f"# sira {__version__}\n# config {_compact(spec.config_echo)}\n")
             for key in sorted(summary):
-                value = np.asarray(summary[key])
-                handle.write(f"# {key} {_conversion(value) % value.item()}\n")
+                handle.write(f"# {key} ")
+                handle.writelines(_csv_rows({key: np.asarray(summary[key]).reshape(1)}))
             handle.write(",".join(columns) + "\n")
             handle.writelines(_csv_rows(columns))
     return spec.out_path

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .mechanism import AuctionConfig, beats, run_reserve_threshold
-from .seeding import STREAM_EXPERIMENT, child_seed, is_integer, substream
+from .seeding import STREAM_EXPERIMENT, check_count, child_seed, substream
 from .strategy import (
     cap_bid,
     check_p_eps,
@@ -31,7 +31,6 @@ from .strategy import (
     sira_bid,
     sira_bid_generic,
     sira_decision_arrays,
-    submitted_bid,
 )
 from .value_model import (
     PREMIUM_MAX,
@@ -46,12 +45,6 @@ _EXP_DEVIATION = 0
 _EXP_SWEEP = 1
 _EXP_VALIDATE = 2
 _EXP_EQ_CHECK = 3
-
-
-def _check_count(name: str, value, low: int) -> None:
-    """Require a sample size, bin or worker count: an integer of at least low."""
-    if not is_integer(value) or value < low:
-        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -84,7 +77,7 @@ def _equilibrium_bids(
     distribution is defined over exactly this population.
     """
     totals, lams = sample_valuations(family, rng, size, lower=p_eps)
-    return submitted_bid(family, lams * totals, p_eps)
+    return cap_bid(sira_bid(family, lams * totals, p_eps))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +131,7 @@ def deviation_sweep(
     if not (0.0 <= probe_v_p <= probe_v_d and probe_v_d + probe_v_p <= 1.0):
         raise DomainError("probe values need 0 <= probe_v_p <= probe_v_d and probe_v_d + "
                           f"probe_v_p <= 1, got {probe_v_d!r} and {probe_v_p!r}")
-    _check_count("n_opponents", n_opponents, 2)
+    check_count("n_opponents", n_opponents, 2)
     grid = np.unique(np.append(np.asarray(deltas, dtype=float), 0.0))
     if not np.all((grid >= -1.0) & (grid <= 1.0)):
         raise DomainError("deviation fractions must be finite and lie in [-1, 1]")
@@ -149,7 +142,7 @@ def deviation_sweep(
     coins = tie_rng.random(n_opponents) < 0.5
 
     v_d, v_p = float(probe_v_d), float(probe_v_p)
-    bids = cap_bid((1.0 + grid) * submitted_bid(family, v_p, p_eps))
+    bids = cap_bid((1.0 + grid) * cap_bid(sira_bid(family, v_p, p_eps)))
 
     # A bid realizes one utility when it wins and one when it loses, and
     # winning is monotone in the bid, so a bid with k wins and the
@@ -258,9 +251,9 @@ def threshold_sweep(
         raise DomainError("p_eps_grid must be a non-empty one-dimensional grid")
     for p in grid:
         check_p_eps(p)
-    _check_count("n_agents", n_agents, 2)
+    check_count("n_agents", n_agents, 2)
     SafetyCostModel(gamma)  # raises DomainError for a bad gamma
-    _check_count("workers", workers, 1)
+    check_count("workers", workers, 1)
 
     configs = [
         AuctionConfig(n_agents=n_agents, p_eps=float(p), family=family, gamma=gamma,
@@ -323,8 +316,8 @@ def validate_product_distribution(
     comparison uses every bin.
     """
     check_p_eps(p_eps)
-    _check_count("n_samples", n_samples, 2)
-    _check_count("bins", bins, 10)
+    check_count("n_samples", n_samples, 2)
+    check_count("bins", bins, 10)
     rng = substream(seed, STREAM_EXPERIMENT, _EXP_VALIDATE, 0)
     totals, lams = sample_valuations(family, rng, n_samples, lower=p_eps)
     products = lams * totals
@@ -471,7 +464,7 @@ def equilibrium_crosscheck(
     same probes, as a paired difference.
     """
     check_p_eps(p_eps)
-    _check_count("n_pairings", n_pairings, 2)
+    check_count("n_pairings", n_pairings, 2)
     if not (0.0 < bucket_halfwidth <= PREMIUM_MAX):
         raise DomainError(f"bucket_halfwidth must be positive, got {bucket_halfwidth}")
     lo = bucket_center - bucket_halfwidth

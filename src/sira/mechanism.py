@@ -33,8 +33,8 @@ from .seeding import (
     STREAM_OPPONENTS,
     STREAM_TIES,
     STREAM_VALUATIONS,
+    check_count,
     check_seed,
-    is_integer,
     substream,
 )
 from .strategy import check_p_eps, reserve_decision_arrays, sira_decision_arrays
@@ -64,11 +64,9 @@ class AuctionConfig:
     pairing: PairingMode = PairingMode.INDEPENDENT_OPPONENT
 
     def __post_init__(self) -> None:
-        for name, low in (("n_agents", 2), ("rounds", 1)):
-            value = getattr(self, name)
-            if not is_integer(value) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value}")
         try:
+            check_count("n_agents", self.n_agents, 2)
+            check_count("rounds", self.rounds, 1)
             check_p_eps(self.p_eps)
             SafetyCostModel(self.gamma)
         except DomainError as exc:
@@ -154,7 +152,7 @@ class AuctionReport:
     """Struct-of-arrays record of a full run.
 
     Stores which engine ran (mechanism), what the run draws (total_value,
-    scaling_factor), what the agents decide (the DecisionArrays columns)
+    scaling_factor), what the agents decide (the Decision columns)
     and what the contest awards (won_by_round, rounds x agents); every
     other column and aggregate is derived from these. The AuctionConfig
     stays with the caller; n_agents and rounds are read off the arrays.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 STREAM_VALUATIONS = 0
 STREAM_OPPONENTS = 1
@@ -32,6 +32,13 @@ _SEED_MAX = 2**64
 def is_integer(value) -> bool:
     """Whether value is a Python or numpy integer; a bool is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Require a sample size, bin, round or worker count: an integer of at
+    least low. Raises DomainError."""
+    if not is_integer(value) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def check_seed(seed: int) -> int:

@@ -38,22 +38,6 @@ P_EPS_MIN = 1e-6
 P_EPS_MAX = 1.0 - 1e-6
 
 
-class BidDecision(NamedTuple):
-    """Outcome of a strategy evaluation for one agent.
-
-    predicted_utility is the expected utility of participating;
-    participates is true exactly when that utility is strictly positive.
-    safety is the safety level bought by the submitted bid, 0 for agents
-    that stay out.
-    """
-
-    raw_bid: float
-    bid: float
-    predicted_utility: float
-    participates: bool
-    safety: float
-
-
 def check_p_eps(p_eps: float) -> float:
     """Validate the clearing price against the supported window."""
     if not (P_EPS_MIN <= p_eps <= P_EPS_MAX):
@@ -106,11 +90,6 @@ def sira_bid_generic(
     return float(bid[0]) if scalar else bid
 
 
-def submitted_bid(family: ValueFamily, v_p, p_eps):
-    """The bid an equilibrium agent submits: the closed-form bid capped at 1."""
-    return cap_bid(sira_bid(family, v_p, p_eps))
-
-
 def predicted_utilities(v_d, v_p, bid, cdf_at_v_p):
     """Expected utility of submitting an equilibrium bid.
 
@@ -132,8 +111,15 @@ def realized_utilities(v_d, v_p, bid, accepted, won):
     return np.where(accepted, v_d + v_p * won - bid, -bid)
 
 
-class DecisionArrays(NamedTuple):
-    """Vectorized strategy evaluation over a population."""
+class Decision(NamedTuple):
+    """A strategy evaluation: one column per field over a population, or
+    one agent's Python values (see _first_decision).
+
+    predicted_utility is the expected utility of participating;
+    participates is true exactly when that utility is strictly positive.
+    safety is the safety level bought by the submitted bid, 0 for agents
+    that stay out.
+    """
 
     raw_bid: np.ndarray
     bid: np.ndarray
@@ -142,14 +128,14 @@ class DecisionArrays(NamedTuple):
     safety: np.ndarray
 
 
-def _first_decision(arrays: DecisionArrays) -> BidDecision:
+def _first_decision(arrays: Decision) -> Decision:
     """The first agent of a population evaluation, as plain Python values."""
-    return BidDecision(*(column[0].item() for column in arrays))
+    return Decision(*(column[0].item() for column in arrays))
 
 
 def reserve_decision_arrays(
     deployment_value: np.ndarray, p_eps: float, model: SafetyCostModel
-) -> DecisionArrays:
+) -> Decision:
     """Evaluate the reserve-threshold strategy for a whole population at once.
 
     Every agent's bid is exactly the clearing price, and an agent
@@ -161,14 +147,14 @@ def reserve_decision_arrays(
     utility = v_d - p_eps
     participates = utility > 0.0
     safety = np.where(participates, model.safety_from_bid(p_eps), 0.0)
-    return DecisionArrays(bid.copy(), bid, utility, participates, safety)
+    return Decision(bid.copy(), bid, utility, participates, safety)
 
 
 def reserve_threshold_bid(
     deployment_value: float,
     p_eps: float,
     model: SafetyCostModel = SafetyCostModel(),
-) -> BidDecision:
+) -> Decision:
     """Reserve-threshold decision for one agent: bid the clearing price or stay out."""
     if not (0.0 <= deployment_value <= 1.0):
         raise DomainError(f"deployment value outside [0, 1]: {deployment_value}")
@@ -181,7 +167,7 @@ def sira_decision_arrays(
     p_eps: float,
     family: ValueFamily,
     model: SafetyCostModel,
-) -> DecisionArrays:
+) -> Decision:
     """Evaluate the SIRA strategy for a whole population at once.
 
     The one place where a SIRA decision is built: the equilibrium bid,
@@ -199,7 +185,7 @@ def sira_decision_arrays(
     safety = np.where(participates, model.safety_from_bid(bid), 0.0)
     if np.any(participates & (bid < p_eps)):
         raise NumericalError("a participant's bid fell below the clearing price")
-    return DecisionArrays(raw, bid, utility, participates, safety)
+    return Decision(raw, bid, utility, participates, safety)
 
 
 def decide(
@@ -207,7 +193,7 @@ def decide(
     p_eps: float,
     family: ValueFamily,
     model: SafetyCostModel = SafetyCostModel(),
-) -> BidDecision:
+) -> Decision:
     """Full SIRA decision for one agent: bid, cap, utility, participation."""
     return _first_decision(
         sira_decision_arrays(

@@ -79,9 +79,12 @@ class SafetyCostModel:
 
 
 def beta22_cdf(x):
-    """Distribution function 3 x^2 - 2 x^3 of Beta(2, 2)."""
-    x = np.asarray(x, dtype=float)
-    return 3.0 * x**2 - 2.0 * x**3
+    """Distribution function 3 x^2 - 2 x^3 of Beta(2, 2), on [0, 1]."""
+    x_arr = np.asarray(x, dtype=float)
+    if not np.all((x_arr >= 0.0) & (x_arr <= 1.0)):
+        raise DomainError("Beta(2, 2) argument outside [0, 1]")
+    out = 3.0 * x_arr**2 - 2.0 * x_arr**3
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def beta22_ppf(q):

@@ -22,7 +22,7 @@ from sira.experiments import (
 )
 from sira.mechanism import beats
 from sira.seeding import STREAM_EXPERIMENT, substream
-from sira.strategy import cap_bid, predicted_utilities, realized_utilities, sira_bid, submitted_bid
+from sira.strategy import cap_bid, predicted_utilities, realized_utilities, sira_bid
 from sira.value_model import (
     PremiumValueDistribution,
     ValueFamily,
@@ -129,7 +129,7 @@ def _materialised_deviation(family, p_eps, probe, deltas, n_opponents, seed):
     coins = substream(seed, *key, 1).random(n_opponents) < 0.5
     grid = np.unique(np.append(np.asarray(deltas, dtype=float), 0.0))
     v_d, v_p = probe
-    bids = cap_bid((1.0 + grid) * submitted_bid(family, v_p, p_eps))
+    bids = cap_bid((1.0 + grid) * cap_bid(sira_bid(family, v_p, p_eps)))
 
     def utilities(bid):
         return realized_utilities(v_d, v_p, bid, bid >= p_eps, beats(bid, opp_bids, coins))

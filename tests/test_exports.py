@@ -16,6 +16,7 @@ DELETED = {
     "award_premiums_independent",
     "EmpiricalDistribution",
     "empirical_pdf_cdf",
+    "BidDecision",
 }
 
 

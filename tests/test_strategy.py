@@ -8,7 +8,7 @@ import pytest
 from sira.errors import DomainError, NumericalError
 from sira.seeding import substream
 from sira.strategy import (
-    BidDecision,
+    Decision,
     cap_bid,
     decide,
     predicted_utilities,
@@ -17,7 +17,6 @@ from sira.strategy import (
     sira_bid,
     sira_bid_generic,
     sira_decision_arrays,
-    submitted_bid,
 )
 from sira.experiments import closed_form_vs_quadrature
 from sira.value_model import (
@@ -27,6 +26,7 @@ from sira.value_model import (
     PremiumValueDistribution,
     SafetyCostModel,
     ValueFamily,
+    beta22_cdf,
     beta22_ppf,
     sample_valuations,
 )
@@ -109,6 +109,7 @@ _NAN_INPUTS = {
     "cdf": _DIST.cdf,
     "cdf_integral": _DIST.cdf_integral,
     "cdf_and_integral": _DIST.cdf_and_integral,
+    "beta22_cdf": beta22_cdf,
     "beta22_ppf": beta22_ppf,
     "cap_bid": cap_bid,
     "price_of_safety": SafetyCostModel().price_of_safety,
@@ -240,7 +241,7 @@ def test_predicted_utilities_match_scalar_view_on_both_branches():
     total, lam = sample_valuations(family, substream(31, 0), 2000)
     v_p = lam * total
     v_d = total - v_p
-    bid = submitted_bid(family, v_p, p)
+    bid = cap_bid(sira_bid(family, v_p, p))
     assert np.any(bid >= 1.0) and np.any(bid < 1.0)
     dist = PremiumValueDistribution(family, p)
     got = predicted_utilities(v_d, v_p, bid, dist.cdf(v_p))
@@ -288,7 +289,7 @@ def test_reserve_arrays_match_scalar_view():
     arrays = reserve_decision_arrays(v_d, 0.5, model)
     for i, v in enumerate(v_d.tolist()):
         scalar = reserve_threshold_bid(v, 0.5, model)
-        assert scalar == BidDecision(*(column[i].item() for column in arrays))
+        assert scalar == Decision(*(column[i].item() for column in arrays))
 
 
 def test_reserve_decision_rejects_bad_inputs():
@@ -305,7 +306,7 @@ def test_reserve_decision_rejects_bad_inputs():
 def test_decide_frozen_example():
     valuation = AgentValuation(total_value=0.8, scaling_factor=0.25)
     d = decide(valuation, 0.5, ValueFamily.UNIFORM)
-    assert isinstance(d, BidDecision)
+    assert isinstance(d, Decision)
     assert d.raw_bid == pytest.approx(0.5 + 0.08 * math.log(2.0), abs=1e-15)
     assert d.bid == d.raw_bid
     assert d.predicted_utility == pytest.approx(0.1 + 0.08 * math.log(2.0), abs=1e-15)

@@ -113,6 +113,15 @@ def test_beta22_ppf_out_of_range_rejected():
         beta22_ppf(1.01)
 
 
+@pytest.mark.parametrize("x", [-0.5, -1e-300, np.nextafter(1.0, 2.0), 1.5])
+def test_beta22_cdf_out_of_range_rejected(x):
+    # Outside [0, 1] the polynomial is no distribution function: 1.5 gives 0.0.
+    with pytest.raises(DomainError):
+        beta22_cdf(x)
+    with pytest.raises(DomainError):
+        beta22_cdf(np.array([0.25, x]))
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 
