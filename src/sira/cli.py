@@ -19,8 +19,13 @@ exact). JSON is compact (sorted keys, no whitespace) and long arrays are
 written in blocks; either way the text held in memory stays bounded.
 Pipe JSON through `python -m json.tool` to read it. JSON writes
 undefined statistics (nan or infinite values) as null, and CSV writes
-them as nan. Only sweep reads --workers, and it never changes results;
-it only parallelizes the grid points. Options may also be supplied
+them as nan. A JSON float is the text json.dumps writes, the shortest
+repr that reads back as the same double (float.__repr__); for float
+arrays numpy digit arithmetic builds it for ±0 and 1e-4 <= |x| < 10, and
+every other value, or one within 1e-9 of a digit decision, is formatted
+one at a time (see _json_floats for why the digits are exact). Only
+sweep reads --workers, and it never changes results; it only
+parallelizes the grid points. Options may also be supplied
 through --config FILE (JSON object keyed by option name); explicit flags
 win over the file, which wins over defaults. A config file holds only
 the options of the config echo: --out, --format and --workers, like any
@@ -441,6 +446,150 @@ def _csv_rows(columns: dict[str, np.ndarray]):
         yield block.tobytes().translate(None, b"\0").decode()
 
 
+# 10**(16 - X) for X = -4..0, exact: |x| times it is a 17-digit significand.
+_POW17 = np.array([1e20, 1e19, 1e18, 1e17, 1e16])
+
+
+def _json_floats(x: np.ndarray, first: bool) -> str:
+    """A 1-D float array as JSON array elements, each after a comma but
+    the first when first is true: float.__repr__ of each value, and null
+    for nan and inf, the text that json.dumps writes.
+
+    The block is one byte matrix, as in ``_csv_rows``: a 24-byte row per
+    value holds its comma, a head of ``_HEADS`` (sign, "0.000" prefix or
+    point, and d0) and four groups of ``_QUADS`` (d1...d16, trailing zeros
+    stripped), and the NUL padding is deleted. Digit arithmetic writes ±0
+    and 1e-4 <= |x| < 10. Every other value, and any value near one of the
+    decisions below, is formatted by float.__repr__; a block holding a
+    24-character repr goes whole through json.dumps.
+
+    Why the digits are exact. X = floor(log10 |x|) comes from the decade
+    compares of ``_float_cells`` (the double nearest 1e-4 also lies above
+    it), so y = |x|·10**(16 - X) lies in [1e16, 1e17). The power of ten is
+    a double, and Dekker's product, with operands split at 2**27 + 1,
+    gives y exactly as hi + lo; hence y = g + f with g the int64 hi +
+    rint(lo) and f = lo - rint(lo) in [-1/2, 1/2], both exact. The reals
+    that round to x lie within half a gap of it: in units of y, h =
+    2**(E - 53)·10**(16 - X) for binary exponent E, in (0.55, 11.1]; below
+    a power of two the gap is half as wide, but each power of two in range
+    has at most 10 digits and is its own repr, at distance 0.
+    float.__repr__ writes the fewest digits that round to x, the nearest
+    to x if several do. That is the multiple of 100 nearest y if within h
+    (at most one is, since 2h < 100), else the nearest multiple of 10 if
+    within h, else g, which is within h. The offset of y from the multiple
+    of 100 below g, and its distances from the candidates, are computed
+    with an error below 1e-13; a value whose distance lies within 1e-9 of
+    h, or of a tie (5 from a multiple of 10, 1/2 from an integer), goes
+    through float.__repr__, so every decision made here is exact. 0.0 and
+    -0.0 get the head "0" and the group ".0".
+    """
+    a = np.abs(x, dtype=np.float64)
+    np.fmin(a, 10.0, out=a)  # nan and |x| >= 10 become 10, a slow cell
+    k = (a >= 1e-3).view(np.uint8) + (a >= 1e-2).view(np.uint8)
+    k += a >= 0.1
+    k += a >= 1.0  # X + 4
+    s = np.take(_POW17, k)
+    split = 134217729.0  # 2**27 + 1
+    s_high = _POW17 * split
+    s_high -= s_high - _POW17
+    s_high = np.take(s_high, k)
+    s_low = s - s_high
+    a_high = a * split
+    a_low = a_high - a
+    a_high -= a_low
+    np.subtract(a, a_high, out=a_low)
+    hi = a * s
+    lo = a_high * s_high
+    lo -= hi
+    term = a_high * s_low
+    lo += term
+    lo += np.multiply(a_low, s_high, out=term)
+    lo += np.multiply(a_low, s_low, out=term)
+    units = np.rint(lo)
+    lo -= units  # f
+    c = hi.astype(np.int64)
+    c += units.astype(np.int64)  # g
+    base = c // 100
+    base *= 100
+    c -= base
+    units = c.astype(np.float64)  # g - base, the 17-digit candidate
+    u = units + lo  # y - base
+    h = (a.view(np.uint64) & np.uint64(0x7FF0_0000_0000_0000)).view(np.float64)
+    h *= s
+    h *= 2.0**-53
+    hundreds = u * 0.01
+    np.rint(hundreds, out=hundreds)
+    hundreds *= 100.0
+    d100 = u - hundreds
+    np.abs(d100, out=d100)
+    tens = u * 0.1
+    np.rint(tens, out=tens)
+    tens *= 10.0
+    d10 = u - tens
+    np.abs(d10, out=d10)
+    pick = np.where(d100 <= h, hundreds, np.where(d10 <= h, tens, units))
+    # The smallest distance of a decision from its boundary.
+    d100 -= h
+    np.abs(d100, out=d100)
+    np.subtract(d10, h, out=tens)
+    np.fmin(d100, np.abs(tens, out=tens), out=d100)
+    d10 -= 5.0
+    np.fmin(d100, np.abs(d10, out=d10), out=d100)
+    np.abs(lo, out=lo)
+    np.fmin(d100, np.subtract(0.5, lo, out=lo), out=d100)
+    slow = d100 < 1e-9
+    slow |= a < 1e-4
+    slow |= a >= 10.0
+    zero = a == 0.0
+    slow &= ~zero
+    base += pick.astype(np.int64)  # the significand, 17 digits
+    high = base // 100_000_000
+    base -= high * 100_000_000
+    low = base.astype(np.uint32)
+    high = high.astype(np.uint32)
+    d0 = high // 100_000_000
+    high -= d0 * 100_000_000
+    q1 = high // 10_000
+    q2 = high - q1 * 10_000
+    q3 = low // 10_000
+    q4 = low - q3 * 10_000
+    trail = np.uint32(_TRAIL)
+    low_zero = low == 0
+    rest_zero = low_zero & (q2 == 0)
+    # "d.0" for an integral 1.0 to 9.0: the group "0" after the head "d.".
+    keep0 = rest_zero & (q1 == 0) & (k == 4)
+    head = np.signbit(x).view(np.uint8) * np.uint8(5)
+    head += k
+    head = head * np.uint32(10)
+    head += d0
+    # The heads with a point after d0 at X = 0, and the comma in their
+    # first byte, which no head fills.
+    heads = _HEADS[::2] | np.frombuffer(b",\0\0\0\0\0\0\0", np.uint64)
+    cells = np.empty((x.size, 6), np.uint32)
+    # A slow cell's d0 may be 10; its head is clipped, then overwritten.
+    cells.view(np.uint64)[:, 0] = np.take(heads, head, mode="clip")
+    group = np.take(_QUADS, q1 + rest_zero * trail + keep0 * np.uint32(2 * _TRAIL))
+    group |= zero * np.frombuffer(b"\0\0.0", np.uint32)
+    cells[:, 2] = group
+    cells[:, 3] = np.take(_QUADS, q2 + low_zero * trail)
+    cells[:, 4] = np.take(_QUADS, q3 + (q4 == 0) * trail)
+    cells[:, 5] = np.take(_QUADS[_TRAIL:], q4)
+    cells = cells.view(np.uint8)
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        values = x[slow]
+        texts = [repr(v) if finite else "null"
+                 for v, finite in zip(values.tolist(), np.isfinite(values).tolist())]
+        slots = _slots(["," + t for t in texts])
+        if slots.shape[1] > cells.shape[1]:
+            return ("" if first else ",") + _compact(x)[1:-1]
+        cells[slow, : slots.shape[1]] = slots
+        cells[slow, slots.shape[1] :] = 0
+    if first and x.size:
+        cells[0, 0] = 0
+    return cells.tobytes().translate(None, b"\0").decode()
+
+
 def _json_default(value):
     """Arrays and numpy scalars as JSON values; nan and inf become null."""
     if isinstance(value, np.ndarray):
@@ -462,9 +611,11 @@ def _json_chunks(value):
     any array.
 
     The pieces join to exactly ``_compact(value)``. Dicts are walked key by
-    key, arrays of more than one dimension row by row, and a long 1-D array
-    in blocks of ``_BLOCK_ROWS`` elements; everything else is one
-    ``_compact`` call, which runs the C encoder.
+    key, arrays of more than one dimension row by row, and a 1-D array of
+    float64 or float32 (widened, as ``tolist`` does) or a long 1-D array of
+    another kind in blocks of ``_BLOCK_ROWS`` elements, the floats through
+    ``_json_floats``; everything else is one ``_compact`` call, which runs
+    the C encoder.
     """
     if isinstance(value, dict):
         yield "{"
@@ -478,6 +629,11 @@ def _json_chunks(value):
             if i:
                 yield ","
             yield from _json_chunks(row)
+        yield "]"
+    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.char in "fd":
+        yield "["
+        for start in range(0, value.size, _BLOCK_ROWS):
+            yield _json_floats(value[start : start + _BLOCK_ROWS], start == 0)
         yield "]"
     elif isinstance(value, np.ndarray) and value.size > _BLOCK_ROWS:
         yield "["

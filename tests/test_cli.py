@@ -2,8 +2,10 @@
 formats, exit codes, and byte-level determinism."""
 
 import json
+import math
 import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -618,6 +620,120 @@ def test_csv_writer_memory_is_bounded_by_one_block(tmp_path, monkeypatch):
         tracemalloc.start()
         try:
             cli._emit(spec, {}, columns, {})
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_block = peak_bytes(cli._BLOCK_ROWS)
+    assert peak_bytes(8 * cli._BLOCK_ROWS) < 2 * one_block
+
+
+def _assert_json_floats_equal_reference(x):
+    """A float array streams as json.dumps writes its values: each value's
+    float.__repr__, and null where it is not finite."""
+    texts = [float.__repr__(v) if math.isfinite(v) else "null" for v in x.tolist()]
+    _assert_same_text("".join(cli._json_chunks(x)), "[" + ",".join(texts) + "]")
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
+@example(bits=[0, 2**63, 1, 2**63 + 1, 0x7FF0000000000000, 0xFFF0000000000000,
+               0x7FF8000000000000, 0x000FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF])
+def test_json_floats_of_any_bit_pattern_equal_per_value_reference(bits):
+    bits = np.array(bits, dtype=np.uint64)
+    # The same signs and mantissas with exponents 2**-14 to 2**17, around
+    # the range that digit arithmetic writes.
+    exponents = np.uint64(1009) + (bits >> np.uint64(58) & np.uint64(31))
+    near = bits & np.uint64(0x800F_FFFF_FFFF_FFFF) | exponents << np.uint64(52)
+    _assert_json_floats_equal_reference(bits.view(np.float64))
+    _assert_json_floats_equal_reference(near.view(np.float64))
+
+
+def _decimals_that_round_to(x, digits):
+    """How many decimals of that many significant digits lie strictly
+    inside the interval of reals that round to the positive double x."""
+    below, above = np.nextafter(x, 0.0), np.nextafter(x, np.inf)
+    low = (Fraction(x) + Fraction(float(below))) / 2
+    high = (Fraction(x) + Fraction(float(above))) / 2
+    step = Fraction(10) ** (math.floor(math.log10(x)) + 1 - digits)
+    return math.ceil(high / step) - math.floor(low / step) - 1
+
+
+def _two_candidate_values(digits, binades, rng, n):
+    """Decimals halfway between two of the given number of significant
+    digits, as the doubles nearest them, drawn from binades whose half gap
+    is wide enough that often both neighbours round to the double."""
+    values = []
+    for low, high in binades:
+        for v in rng.uniform(low, high, n).tolist():
+            mantissa, exponent = f"{v:.{digits - 1}e}".split("e")
+            values.append(float(f"{mantissa}5e{exponent}"))
+    return np.array(values)
+
+
+def _json_edge_values():
+    rng = np.random.default_rng(29)
+    powers = 2.0 ** np.arange(-14, 4)
+    edges = np.repeat([1e-4, 1e-3, 0.01, 0.1, 1.0, 10.0], 10_001)
+    steps = _stepped(edges, np.tile(np.arange(-5000, 5001), 6))
+    random = rng.random(3000).tolist()
+    truncated = [float(f"{v:.{d}g}") for v, d in zip(random, rng.integers(1, 17, 3000).tolist())]
+    return {
+        "powers-of-two": np.concatenate([powers, -powers]),
+        "ulp-steps": np.concatenate([steps, -steps]),
+        "integral": np.concatenate([np.arange(1.0, 10.0), -np.arange(1.0, 10.0)]),
+        "specials": np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 0.5,
+                              np.finfo(float).max, 1.0, -0.0]),
+        "long-repr": np.array([0.25, -np.finfo(float).max, -1.2345678901234567e-100, 1.0]),
+        "short-decimals": np.array([0.1, 0.25, 0.2 + 0.1, 1.5, 2.675, 9.5, 1e-3, 1e-4, 5e-4,
+                                    *truncated]),
+        # Found by search: each lies within 3e-7 units of the 17th digit of
+        # a boundary that decides its digits: the half gap (first five), a
+        # tie between two tens, and a tie between two units.
+        "near-decisions": np.array([
+            0.126787919650882, 0.3741067754154003, 0.3701568910825698,
+            0.0032830315464045692, 0.023311324744222352,
+            0.22242216026667605, 0.023923423952801115,
+            0.0003456107370893694, 0.0008777674532814268, 0.8143011402465276,
+            0.0002670076190369151, 0.00031284397077767124, 0.06421764121599614,
+            0.09471854163330824, 0.0013122645937151556,
+        ]),
+        "two-16-digit": _two_candidate_values(
+            16, [(8.0, 10.0), (0.0078125, 0.01), (0.0009765625, 0.001)], rng, 300),
+        "two-17-digit": _two_candidate_values(
+            17, [(1.0, 2.0), (2.0, 4.0), (0.125, 0.25)], rng, 300),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_json_edge_values()))
+def test_json_floats_at_edge_values_equal_per_value_reference(name):
+    x = _json_edge_values()[name]
+    _assert_json_floats_equal_reference(x)
+    with np.errstate(over="ignore"):  # float32 overflows to inf
+        _assert_json_floats_equal_reference(x.astype(np.float32))
+
+
+@pytest.mark.parametrize("digits", [16, 17])
+def test_two_candidate_values_hold_two_candidates(digits):
+    # The premise of the two-*-digit edge values: most of them have two
+    # decimals of that length, and none shorter, that round to them.
+    x = _json_edge_values()[f"two-{digits}-digit"]
+    both = [_decimals_that_round_to(v, digits) >= 2 and _decimals_that_round_to(v, digits - 1) == 0
+            for v in x.tolist()]
+    assert sum(both) > x.size // 2
+
+
+def test_json_writer_memory_is_bounded_by_one_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1000)
+    spec = cli.RunSpec("auction", {}, tmp_path / "m.json", "json", 1)
+
+    def peak_bytes(n_rows):
+        rng = np.random.default_rng(n_rows)
+        columns = {"agent": np.arange(n_rows), "flag": rng.random(n_rows) < 0.5}
+        columns.update((f"f{j}", rng.random(n_rows)) for j in range(8))
+        tracemalloc.start()
+        try:
+            cli._emit(spec, {}, columns)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
