@@ -578,14 +578,13 @@ def _json_floats(x: np.ndarray, first: bool) -> str:
     slow = np.flatnonzero(slow)
     if slow.size:
         values = x[slow]
-        texts = [repr(v) if finite else "null"
-                 for v, finite in zip(values.tolist(), np.isfinite(values).tolist())]
-        slots = _slots(["," + t for t in texts])
+        slots = _slots(["," + (repr(v) if finite else "null")
+                        for v, finite in zip(values.tolist(), np.isfinite(values).tolist())])
         if slots.shape[1] > cells.shape[1]:
             return ("" if first else ",") + _compact(x)[1:-1]
         cells[slow, : slots.shape[1]] = slots
         cells[slow, slots.shape[1] :] = 0
-    if first and x.size:
+    if first:
         cells[0, 0] = 0
     return cells.tobytes().translate(None, b"\0").decode()
 

@@ -688,8 +688,9 @@ def _json_edge_values():
         "short-decimals": np.array([0.1, 0.25, 0.2 + 0.1, 1.5, 2.675, 9.5, 1e-3, 1e-4, 5e-4,
                                     *truncated]),
         # Found by search: each lies within 3e-7 units of the 17th digit of
-        # a boundary that decides its digits: the half gap (first five), a
-        # tie between two tens, and a tie between two units.
+        # a boundary that decides its digits: the half gap (the first
+        # five), a tie between two tens (the next two) or between two
+        # integers (the rest).
         "near-decisions": np.array([
             0.126787919650882, 0.3741067754154003, 0.3701568910825698,
             0.0032830315464045692, 0.023311324744222352,
