@@ -12,23 +12,22 @@ the echoed run configuration, including the seed, and contains no
 timestamps, so rerunning the same specification writes byte-identical
 files. CSV cells, the summary lines' values included, are the bytes of C
 printf conversions (%.9g for floats, %d for integers and bools) and str
-for text. Rows are written in blocks; numpy digit arithmetic builds
-integers, bools, ±0 and floats with 1e-4 <= |x| < 10, and every other
-cell is formatted one at a time (see _float_cells for why the digits are
-exact). JSON is compact (sorted keys, no whitespace) and long arrays are
-written in blocks; either way the text held in memory stays bounded.
-Pipe JSON through `python -m json.tool` to read it. JSON writes
-undefined statistics (nan or infinite values) as null, and CSV writes
-them as nan. A JSON float is the text json.dumps writes, the shortest
-repr that reads back as the same double (float.__repr__); for float
-arrays numpy digit arithmetic builds it for ±0 and 1e-4 <= |x| < 10, and
-every other value, or one within 1e-9 of a digit decision, is formatted
-one at a time (see _json_floats for why the digits are exact). Only
-sweep reads --workers, and it never changes results; it only
-parallelizes the grid points. Options may also be supplied
-through --config FILE (JSON object keyed by option name); explicit flags
-win over the file, which wins over defaults. A config file holds only
-the options of the config echo: --out, --format and --workers, like any
+for text. JSON is compact (sorted keys, no whitespace; read it through
+`python -m json.tool`), and a JSON float is the text json.dumps writes,
+the shortest repr that reads back as the same double (float.__repr__).
+JSON writes undefined statistics (nan or infinite values) as null, and
+CSV writes them as nan. CSV rows and every 1-D JSON array are written in
+blocks, so the text held in memory stays bounded. In a block, numpy
+digit arithmetic builds CSV integers and bools and, in both formats, ±0
+and nearly every float with 1e-4 <= |x| < 10 (see _float_cells and
+_json_floats for why the digits are exact). Every other float is
+formatted one at a time into its row of the block, which widens for a
+long repr; JSON's other arrays go through json.dumps a block at a time.
+Only sweep reads --workers, and it never changes results; it only
+parallelizes the grid points. Options may also be supplied through
+--config FILE (JSON object keyed by option name); explicit flags win
+over the file, which wins over defaults. A config file holds only the
+options of the config echo: --out, --format and --workers, like any
 unknown field, are rejected. An artifact's config echo is itself a valid
 --config file. Each option's name is the keyword under which the
 subcommand's library call takes it.
@@ -331,26 +330,46 @@ def _slots(texts: list[str]) -> np.ndarray:
     return cells.view(np.uint8).reshape(cells.size, cells.itemsize)
 
 
+def _patch(cells: np.ndarray, rows: np.ndarray, texts: list[str]) -> np.ndarray:
+    """cells with each of rows replaced by its text, NUL-padded. The rows
+    widen to the longest text, so no encoder needs a fallback."""
+    slots = _slots(texts)
+    width = slots.shape[1]
+    if width > cells.shape[1]:
+        cells = np.pad(cells, ((0, 0), (0, width - cells.shape[1])))
+    cells[rows, :width] = slots
+    cells[rows, width:] = 0
+    return cells
+
+
+def _decade(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|x| as float64, nan and |x| >= 10 as 10 (a slow cell), and X + 4 for
+    X = floor(log10 |x|) in -4..0. X is exact: the doubles nearest 1e-3,
+    1e-2, 0.1 and 1, with which |x| is compared, each lie above their power
+    of ten with no double in between."""
+    a = np.abs(x, dtype=np.float64)
+    np.fmin(a, 10.0, out=a)
+    k = (a >= 1e-3).view(np.uint8) + (a >= 1e-2).view(np.uint8)
+    k += a >= 0.1
+    k += a >= 1.0
+    return a, k
+
+
 def _float_cells(x: np.ndarray) -> np.ndarray:
     """%.9g of float64 x as rows of 16 NUL-padded bytes.
 
     Digit arithmetic writes ±0 and 1e-4 <= |x| < 10, the bulk of every
-    artifact; every other cell, and a rounding tie, goes through %.
-
-    Why the digits are exact: X = floor(log10 |x|) comes from comparing
-    |x| with the doubles nearest 1e-3, 1e-2, 0.1 and 1, which is exact,
-    since each lies above its power of ten with no double in between. The
+    artifact; every other cell, and a rounding tie, goes through % and
+    ``_patch``. Why the digits are exact: X comes from ``_decade``. The
     9-digit significand of |x| is y = |x|·10**(8 - X) in [1e8, 1e9),
-    rounded. The power of ten is exact, so fl(y) is y correctly rounded
-    to a double. That rounding is monotone, and every half-integer below
+    rounded. The power of ten is exact, so fl(y) is y correctly rounded to
+    a double. That rounding is monotone, and every half-integer below
     2**30 is a double, so fl(y) lies on the same side of each rounding tie
     as y, and rint(fl(y)) is the rounded significand that %.9g prints,
-    unless fl(y) is a tie itself. Ties, cells below 1e-4 (fl(y) < 1e8)
-    and significands that round up to 1e9 go through %.
+    unless fl(y) is a tie itself. Ties, cells below 1e-4 (fl(y) < 1e8) and
+    significands that round up to 1e9 go through %.
     """
-    a = np.fmin(np.abs(x), 10.0)  # nan and |x| >= 10 become 10, a slow cell
-    k = (a >= 1e-3).view(np.uint8) + (a >= 1e-2).view(np.uint8)
-    k += (a >= 0.1).view(np.uint8) + (a >= 1.0).view(np.uint8)  # X + 4
+    a, k = _decade(x)
     y = a * np.take(_SCALE, k)
     r = np.rint(y)
     fast = (y >= 1e8) & (r < 1e9) & (np.abs(y - r) < 0.5) | (a == 0)
@@ -366,13 +385,8 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     cells.view(np.uint64)[:, 0] = np.take(_HEADS, head, mode="clip")
     cells[:, 2] = np.take(_QUADS, middle + _TRAIL * low_zero)
     cells[:, 3] = np.take(_QUADS, low + _TRAIL)
-    cells = cells.view(np.uint8)
     slow = np.flatnonzero(~fast)
-    if slow.size:
-        slots = _slots(["%.9g" % v for v in x[slow].tolist()])
-        cells[slow, : slots.shape[1]] = slots
-        cells[slow, slots.shape[1] :] = 0
-    return cells
+    return _patch(cells.view(np.uint8), slow, ["%.9g" % v for v in x[slow].tolist()])
 
 
 def _int_cells(v: np.ndarray) -> np.ndarray:
@@ -403,9 +417,8 @@ def _block_cells(block: list[np.ndarray]) -> list[np.ndarray]:
     numpy call covers all of them."""
     floats = [column for column in block if column.dtype.kind == "f"]
     if floats:
-        float_cells = iter(
-            _float_cells(np.concatenate(floats, dtype=np.float64)).reshape(len(floats), -1, 16)
-        )
+        joined = np.concatenate(floats, dtype=np.float64)
+        float_cells = iter(_float_cells(joined).reshape(len(floats), -1, 16))
     cells = []
     for column in block:
         if column.dtype.kind == "f":
@@ -450,44 +463,38 @@ def _csv_rows(columns: dict[str, np.ndarray]):
 _POW17 = np.array([1e20, 1e19, 1e18, 1e17, 1e16])
 
 
-def _json_floats(x: np.ndarray, first: bool) -> str:
-    """A 1-D float array as JSON array elements, each after a comma but
-    the first when first is true: float.__repr__ of each value, and null
-    for nan and inf, the text that json.dumps writes.
+def _json_floats(x: np.ndarray) -> np.ndarray:
+    """A 1-D float array as JSON array elements, one row of NUL-padded
+    bytes per value, each starting with its comma: float.__repr__ of the
+    value, or null for nan and inf, the text that json.dumps writes.
 
-    The block is one byte matrix, as in ``_csv_rows``: a 24-byte row per
-    value holds its comma, a head of ``_HEADS`` (sign, "0.000" prefix or
-    point, and d0) and four groups of ``_QUADS`` (d1...d16, trailing zeros
-    stripped), and the NUL padding is deleted. Digit arithmetic writes ±0
-    and 1e-4 <= |x| < 10. Every other value, and any value near one of the
-    decisions below, is formatted by float.__repr__; a block holding a
-    24-character repr goes whole through json.dumps.
+    A 24-byte row holds the comma, a head of ``_HEADS`` (sign, "0.000"
+    prefix or point, and d0) and four groups of ``_QUADS`` (d1...d16,
+    trailing zeros stripped). Digit arithmetic writes ±0 and
+    1e-4 <= |x| < 10; every other value, and any value near one of the
+    decisions below, goes through float.__repr__ and ``_patch``, which
+    widens the rows for a 24-character repr.
 
-    Why the digits are exact. X = floor(log10 |x|) comes from the decade
-    compares of ``_float_cells`` (the double nearest 1e-4 also lies above
-    it), so y = |x|·10**(16 - X) lies in [1e16, 1e17). The power of ten is
-    a double, and Dekker's product, with operands split at 2**27 + 1,
-    gives y exactly as hi + lo; hence y = g + f with g the int64 hi +
-    rint(lo) and f = lo - rint(lo) in [-1/2, 1/2], both exact. The reals
-    that round to x lie within half a gap of it: in units of y, h =
-    2**(E - 53)·10**(16 - X) for binary exponent E, in (0.55, 11.1]; below
-    a power of two the gap is half as wide, but each power of two in range
-    has at most 10 digits and is its own repr, at distance 0.
-    float.__repr__ writes the fewest digits that round to x, the nearest
-    to x if several do. That is the multiple of 100 nearest y if within h
-    (at most one is, since 2h < 100), else the nearest multiple of 10 if
-    within h, else g, which is within h. The offset of y from the multiple
-    of 100 below g, and its distances from the candidates, are computed
-    with an error below 1e-13; a value whose distance lies within 1e-9 of
-    h, or of a tie (5 from a multiple of 10, 1/2 from an integer), goes
-    through float.__repr__, so every decision made here is exact. 0.0 and
-    -0.0 get the head "0" and the group ".0".
+    Why the digits are exact. X comes from ``_decade`` (the double nearest
+    1e-4 also lies above 1e-4), so y = |x|·10**(16 - X) lies in
+    [1e16, 1e17). The power of ten is a double, and Dekker's product, with
+    operands split at 2**27 + 1, gives y exactly as hi + lo; hence
+    y = g + f with g the int64 hi + rint(lo) and f = lo - rint(lo) in
+    [-1/2, 1/2], both exact. The reals that round to x lie within half a
+    gap of it: in units of y, h = 2**(E - 53)·10**(16 - X) for binary
+    exponent E, in (0.55, 11.1]; below a power of two the gap is half as
+    wide, but each power of two in range has at most 10 digits and is its
+    own repr, at distance 0. float.__repr__ writes the fewest digits that
+    round to x, the nearest to x if several do. That is the multiple of
+    100 nearest y if within h (at most one is, since 2h < 100), else the
+    nearest multiple of 10 if within h, else g, which is within h. The
+    offset of y from the multiple of 100 below g, and its distances from
+    the candidates, are computed with an error below 1e-13; a value whose
+    distance lies within 1e-9 of h, or of a tie (5 from a multiple of 10,
+    1/2 from an integer), goes through float.__repr__, so every decision
+    made here is exact. 0.0 and -0.0 get the head "0" and the group ".0".
     """
-    a = np.abs(x, dtype=np.float64)
-    np.fmin(a, 10.0, out=a)  # nan and |x| >= 10 become 10, a slow cell
-    k = (a >= 1e-3).view(np.uint8) + (a >= 1e-2).view(np.uint8)
-    k += a >= 0.1
-    k += a >= 1.0  # X + 4
+    a, k = _decade(x)
     s = np.take(_POW17, k)
     split = 134217729.0  # 2**27 + 1
     s_high = _POW17 * split
@@ -574,19 +581,11 @@ def _json_floats(x: np.ndarray, first: bool) -> str:
     cells[:, 3] = np.take(_QUADS, q2 + low_zero * trail)
     cells[:, 4] = np.take(_QUADS, q3 + (q4 == 0) * trail)
     cells[:, 5] = np.take(_QUADS[_TRAIL:], q4)
-    cells = cells.view(np.uint8)
     slow = np.flatnonzero(slow)
-    if slow.size:
-        values = x[slow]
-        slots = _slots(["," + (repr(v) if finite else "null")
-                        for v, finite in zip(values.tolist(), np.isfinite(values).tolist())])
-        if slots.shape[1] > cells.shape[1]:
-            return ("" if first else ",") + _compact(x)[1:-1]
-        cells[slow, : slots.shape[1]] = slots
-        cells[slow, slots.shape[1] :] = 0
-    if first:
-        cells[0, 0] = 0
-    return cells.tobytes().translate(None, b"\0").decode()
+    values = x[slow]
+    return _patch(cells.view(np.uint8), slow, [
+        "," + (repr(v) if finite else "null")
+        for v, finite in zip(values.tolist(), np.isfinite(values).tolist())])
 
 
 def _json_default(value):
@@ -610,11 +609,11 @@ def _json_chunks(value):
     any array.
 
     The pieces join to exactly ``_compact(value)``. Dicts are walked key by
-    key, arrays of more than one dimension row by row, and a 1-D array of
-    float64 or float32 (widened, as ``tolist`` does) or a long 1-D array of
-    another kind in blocks of ``_BLOCK_ROWS`` elements, the floats through
-    ``_json_floats``; everything else is one ``_compact`` call, which runs
-    the C encoder.
+    key, arrays of more than one dimension row by row, and every 1-D array
+    in blocks of ``_BLOCK_ROWS`` elements: float64 and float32 (widened, as
+    ``tolist`` does) through ``_json_floats``, any other kind through
+    ``_compact``. Everything else is one ``_compact`` call, which runs the
+    C encoder.
     """
     if isinstance(value, dict):
         yield "{"
@@ -629,15 +628,15 @@ def _json_chunks(value):
                 yield ","
             yield from _json_chunks(row)
         yield "]"
-    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.char in "fd":
+    elif isinstance(value, np.ndarray) and value.ndim == 1:
         yield "["
         for start in range(0, value.size, _BLOCK_ROWS):
-            yield _json_floats(value[start : start + _BLOCK_ROWS], start == 0)
-        yield "]"
-    elif isinstance(value, np.ndarray) and value.size > _BLOCK_ROWS:
-        yield "["
-        for start in range(0, value.size, _BLOCK_ROWS):
-            yield ("," if start else "") + _compact(value[start : start + _BLOCK_ROWS])[1:-1]
+            block = value[start : start + _BLOCK_ROWS]
+            if block.dtype.char in "fd":
+                text = _json_floats(block).tobytes().translate(None, b"\0").decode()
+            else:
+                text = "," + _compact(block)[1:-1]
+            yield text[1:] if start == 0 else text  # without the array's first comma
         yield "]"
     else:
         yield _compact(value)

@@ -424,6 +424,13 @@ def _synthetic_payloads():
         "wide-2d": {"bools": rng.random((2, n + 5)) < 0.5, "floats": wide},
         "empty": {"flat": np.array([]), "no_rows": np.empty((0, 4)),
                   "no_columns": np.empty((3, 0), dtype=bool)},
+        "short-1d": {
+            "ints": np.array([3, -12, 0]), "bools": np.array([True, False]),
+            "text": np.array(["a", "b c"]), "float16": np.array([0.5, np.nan], np.float16),
+            "float32": np.array([-np.inf, 0.1], np.float32), "one_nan": np.array([np.nan]),
+            "wide": np.array([-1.2345678901234567e-100, -2.2250738585072014e-308,
+                              -1.7976931348623157e+308]),
+        },
         "scalars": {
             "nan": np.array(np.nan), "zero_d": np.array(7), "int": np.int64(-3),
             "float32": np.float32(0.5), "bool": np.bool_(True),
@@ -585,6 +592,16 @@ def test_csv_mixed_columns_equal_per_cell_reference(rows):
     })
 
 
+def test_csv_widest_float_cells_equal_per_cell_reference():
+    # %.9g writes the first three in 16 bytes, a float cell's full width:
+    # their slow cells fill the rows without widening them.
+    wide = np.array([-2.2250738585072014e-308, -1.7976931348623157e+308, -5e-324,
+                     np.nan, -np.inf, 0.25, -1.5, 3e-3])
+    assert max(len("%.9g" % v) for v in wide.tolist()) == 16
+    assert cli._float_cells(wide).shape == (wide.size, 16)
+    _assert_csv_equals_per_cell_reference({"wide": wide, "reversed": wide[::-1].copy()})
+
+
 def test_csv_text_cell_with_nul_is_refused():
     with pytest.raises(ValueError, match="NUL"):
         "".join(cli._csv_rows({"text": np.array(["a\0b"], dtype=object)}))
@@ -685,6 +702,11 @@ def _json_edge_values():
         "specials": np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 0.5,
                               np.finfo(float).max, 1.0, -0.0]),
         "long-repr": np.array([0.25, -np.finfo(float).max, -1.2345678901234567e-100, 1.0]),
+        # One block whose 24-character reprs widen its rows, among fast
+        # values, nan and infinities.
+        "widened-rows": np.array([0.25, -1.2345678901234567e-100, np.nan, 1.5, np.inf,
+                                  -2.2250738585072014e-308, -0.003, -np.inf,
+                                  -1.7976931348623157e+308, 7.0]),
         "short-decimals": np.array([0.1, 0.25, 0.2 + 0.1, 1.5, 2.675, 9.5, 1e-3, 1e-4, 5e-4,
                                     *truncated]),
         # Found by search: each lies within 3e-7 units of the 17th digit of
