@@ -20,9 +20,10 @@ CSV writes them as nan. CSV rows and every 1-D JSON array are written in
 blocks, so the text held in memory stays bounded. In a block, numpy
 digit arithmetic builds CSV integers and bools and, in both formats, ±0
 and nearly every float with 1e-4 <= |x| < 10 (see _float_cells and
-_json_floats for why the digits are exact). Every other float is
-formatted one at a time into its row of the block, which widens for a
-long repr; JSON's other arrays go through json.dumps a block at a time.
+_json_floats for why the digits are exact); JSON bools are looked up in
+a table of their two texts. Every other float is formatted one at a time
+into its row of the block, which widens for a long repr; JSON's integer
+and text arrays go through json.dumps a block at a time.
 Only sweep reads --workers, and it never changes results; it only
 parallelizes the grid points. Options may also be supplied through
 --config FILE (JSON object keyed by option name); explicit flags win
@@ -272,9 +273,13 @@ def parse_run_spec(argv: list[str] | None = None) -> RunSpec:
 # ---------------------------------------------------------------------------
 # Output writer
 
-# CSV rows or JSON array elements formatted and written at a time; bounds
-# the text held in memory, and keeps a CSV block's byte matrix in L2.
+# CSV rows formatted and written at a time; bounds the text held in
+# memory, and keeps a block's byte matrix, one slot per column, in L2.
 _BLOCK_ROWS = 1 << 12
+# Elements of a 1-D JSON array formatted and written at a time. A JSON
+# block is one column, so it can hold more values than a CSV block and
+# spread numpy's per-call cost over them; 1 << 15 was no faster.
+_JSON_BLOCK = 1 << 14
 
 
 def _quad_table() -> np.ndarray:
@@ -294,6 +299,9 @@ def _quad_table() -> np.ndarray:
 _TRAIL, _LEAD, _LEAD_KEEP0 = 10_000, 20_000, 30_000
 _QUADS = _quad_table()
 _MINUS = np.frombuffer(b"\0\0\0-", np.uint32)[0]
+# JSON array elements false and true, each with its comma, as 8-byte
+# words indexed by a bool's byte.
+_JSON_BOOLS = np.frombuffer(b",false\0\0,true\0\0\0", np.uint64)
 
 
 def _float_head(sign: str, k: int, d0: str, rest_zero: bool) -> str:
@@ -610,10 +618,12 @@ def _json_chunks(value):
 
     The pieces join to exactly ``_compact(value)``. Dicts are walked key by
     key, arrays of more than one dimension row by row, and every 1-D array
-    in blocks of ``_BLOCK_ROWS`` elements: float64 and float32 (widened, as
-    ``tolist`` does) through ``_json_floats``, any other kind through
-    ``_compact``. Everything else is one ``_compact`` call, which runs the
-    C encoder.
+    in blocks of ``_JSON_BLOCK`` elements (one column, so larger than a
+    CSV block): float64 and float32 (widened, as ``tolist`` does) through
+    ``_json_floats``, bools as words of ``_JSON_BOOLS``, any other kind
+    through ``_compact``. Float and bool blocks are byte rows joined
+    without their NULs, as CSV blocks are. Everything else is one
+    ``_compact`` call, which runs the C encoder.
     """
     if isinstance(value, dict):
         yield "{"
@@ -630,10 +640,13 @@ def _json_chunks(value):
         yield "]"
     elif isinstance(value, np.ndarray) and value.ndim == 1:
         yield "["
-        for start in range(0, value.size, _BLOCK_ROWS):
-            block = value[start : start + _BLOCK_ROWS]
-            if block.dtype.char in "fd":
-                text = _json_floats(block).tobytes().translate(None, b"\0").decode()
+        for start in range(0, value.size, _JSON_BLOCK):
+            block = value[start : start + _JSON_BLOCK]
+            if block.dtype.kind == "b" or block.dtype.char in "fd":
+                # Clipped, a bool's byte other than 0 or 1 is true, as in tolist.
+                cells = (np.take(_JSON_BOOLS, block.view(np.uint8), mode="clip")
+                         if block.dtype.kind == "b" else _json_floats(block))
+                text = cells.tobytes().translate(None, b"\0").decode()
             else:
                 text = "," + _compact(block)[1:-1]
             yield text[1:] if start == 0 else text  # without the array's first comma

@@ -411,7 +411,7 @@ def test_repeat_json_round_trip(tmp_path):
 
 
 def _synthetic_payloads():
-    n = cli._BLOCK_ROWS
+    n = cli._JSON_BLOCK
     rng = np.random.default_rng(5)
     floats = rng.random(2 * n + 3)
     floats[n + 7] = np.nan
@@ -454,6 +454,27 @@ def test_streamed_json_equals_one_shot_dump(name):
         raise ValueError(f"non-standard JSON constant {token}")
 
     json.loads(streamed, parse_constant=refuse)
+
+
+def _json_bool_arrays():
+    n = cli._JSON_BLOCK
+    rng = np.random.default_rng(31)
+    return {
+        "empty": np.array([], dtype=bool),
+        "one": np.array([True]),
+        "block": rng.random(n) < 0.5,
+        "block+1": rng.random(n + 1) < 0.5,
+        "column-of-2d": (rng.random((n + 3, 3)) < 0.5)[:, 1],
+        "every-other": (rng.random(2 * n + 5) < 0.5)[::2],
+        # Bytes other than 0 and 1 viewed as bool are true.
+        "uint8-view": np.array([0, 1, 2, 255], np.uint8).view(bool),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_json_bool_arrays()))
+def test_json_bools_equal_json_dumps(name):
+    x = _json_bool_arrays()[name]
+    _assert_same_text("".join(cli._json_chunks(x)), json.dumps(x.tolist(), separators=(",", ":")))
 
 
 def _reference_cells(column):
@@ -747,7 +768,7 @@ def test_two_candidate_values_hold_two_candidates(digits):
 
 
 def test_json_writer_memory_is_bounded_by_one_block(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1000)
+    monkeypatch.setattr(cli, "_JSON_BLOCK", 1000)
     spec = cli.RunSpec("auction", {}, tmp_path / "m.json", "json", 1)
 
     def peak_bytes(n_rows):
@@ -761,8 +782,8 @@ def test_json_writer_memory_is_bounded_by_one_block(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
 
-    one_block = peak_bytes(cli._BLOCK_ROWS)
-    assert peak_bytes(8 * cli._BLOCK_ROWS) < 2 * one_block
+    one_block = peak_bytes(cli._JSON_BLOCK)
+    assert peak_bytes(8 * cli._JSON_BLOCK) < 2 * one_block
 
 
 def test_reserve_csv_runs(tmp_path):
