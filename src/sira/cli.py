@@ -15,15 +15,16 @@ printf conversions (%.9g for floats, %d for integers and bools) and str
 for text. JSON is compact (sorted keys, no whitespace; read it through
 `python -m json.tool`), and a JSON float is the text json.dumps writes,
 the shortest repr that reads back as the same double (float.__repr__).
-JSON writes undefined statistics (nan or infinite values) as null, and
-CSV writes them as nan. CSV rows and every 1-D JSON array are written in
-blocks, so the text held in memory stays bounded. In a block, numpy
-digit arithmetic builds CSV integers and bools and, in both formats, ±0
-and nearly every float with 1e-4 <= |x| < 10 (see _float_cells and
-_json_floats for why the digits are exact); JSON bools are looked up in
-a table of their two texts. Every other float is formatted one at a time
-into its row of the block, which widens for a long repr; JSON's integer
-and text arrays go through json.dumps a block at a time.
+JSON writes undefined statistics (nan or inf, of any float type) as
+null, and CSV writes them as nan, inf or -inf. CSV rows and every 1-D
+JSON array are written in blocks, so the text held in memory stays
+bounded. In a block, numpy digit arithmetic builds CSV integers and
+bools and, in both formats, ±0 and nearly every float with
+1e-4 <= |x| < 10 (see _float_cells and _json_floats for why the digits
+are exact); JSON bools are looked up in a table of their two texts.
+Every other float is formatted one at a time into its row of the block,
+which widens for a long repr. json.dumps sees only plain Python values:
+integer and text blocks, and single values (numpy ones as tolist()).
 Only sweep reads --workers, and it never changes results; it only
 parallelizes the grid points. Options may also be supplied through
 --config FILE (JSON object keyed by option name); explicit flags win
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -404,8 +406,6 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
     negative = np.flatnonzero(v < 0)
     magnitude[negative] = -magnitude[negative]
     n_groups = (len(str(magnitude.max())) + 3) // 4
-    if n_groups <= 2:
-        magnitude = magnitude.astype(np.uint32)
     cells = np.zeros((v.size, n_groups + (negative.size > 0)), np.uint32)
     cells[negative, 0] = _MINUS
     for i in range(1, n_groups):
@@ -596,34 +596,23 @@ def _json_floats(x: np.ndarray) -> np.ndarray:
         for v, finite in zip(values.tolist(), np.isfinite(values).tolist())])
 
 
-def _json_default(value):
-    """Arrays and numpy scalars as JSON values; nan and inf become null."""
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind == "f" and not np.isfinite(value).all():
-            value = np.where(np.isfinite(value), value, None)
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"cannot write {type(value).__name__} as JSON")
-
-
 def _compact(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False,
-                      default=_json_default)
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _json_chunks(value):
     """Compact JSON text of value, in pieces that hold at most one block of
     any array.
 
-    The pieces join to exactly ``_compact(value)``. Dicts are walked key by
-    key, arrays of more than one dimension row by row, and every 1-D array
-    in blocks of ``_JSON_BLOCK`` elements (one column, so larger than a
-    CSV block): float64 and float32 (widened, as ``tolist`` does) through
-    ``_json_floats``, bools as words of ``_JSON_BOOLS``, any other kind
-    through ``_compact``. Float and bool blocks are byte rows joined
-    without their NULs, as CSV blocks are. Everything else is one
-    ``_compact`` call, which runs the C encoder.
+    Dicts are walked key by key, lists, tuples and arrays of more than one
+    dimension item by item, and every 1-D array in blocks of
+    ``_JSON_BLOCK`` elements (one column, so larger than a CSV block):
+    float16/32/64 (widened, as ``tolist`` does) through ``_json_floats``
+    and bools as words of ``_JSON_BOOLS``, byte rows joined without their
+    NULs as CSV blocks are; integers and text as ``tolist`` through
+    ``_compact``. Any other value is a leaf: a numpy one as its ``tolist``,
+    a nan or infinite float as null, the rest through ``_compact``, so
+    json.dumps (the C encoder) sees only plain Python values.
     """
     if isinstance(value, dict):
         yield "{"
@@ -631,28 +620,30 @@ def _json_chunks(value):
             yield ("," if i else "") + _compact(key) + ":"
             yield from _json_chunks(value[key])
         yield "}"
-    elif isinstance(value, np.ndarray) and value.ndim > 1:
+    elif isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim > 1:
         yield "["
-        for i, row in enumerate(value):
+        for i, item in enumerate(value):
             if i:
                 yield ","
-            yield from _json_chunks(row)
+            yield from _json_chunks(item)
         yield "]"
     elif isinstance(value, np.ndarray) and value.ndim == 1:
         yield "["
         for start in range(0, value.size, _JSON_BLOCK):
             block = value[start : start + _JSON_BLOCK]
-            if block.dtype.kind == "b" or block.dtype.char in "fd":
+            if block.dtype.kind == "b" or block.dtype.char in "efd":
                 # Clipped, a bool's byte other than 0 or 1 is true, as in tolist.
                 cells = (np.take(_JSON_BOOLS, block.view(np.uint8), mode="clip")
                          if block.dtype.kind == "b" else _json_floats(block))
                 text = cells.tobytes().translate(None, b"\0").decode()
             else:
-                text = "," + _compact(block)[1:-1]
+                text = "," + _compact(block.tolist())[1:-1]
             yield text[1:] if start == 0 else text  # without the array's first comma
         yield "]"
     else:
-        yield _compact(value)
+        if isinstance(value, (np.generic, np.ndarray)):
+            value = value.tolist()
+        yield "null" if isinstance(value, float) and not math.isfinite(value) else _compact(value)
 
 
 def _emit(
@@ -715,9 +706,8 @@ _AGENT_FIELDS = (
 
 
 def _report_output(report: AuctionReport) -> tuple[dict, dict, dict]:
-    # Arrays, so that JSON writes a mean bid without participants as null.
     summary = {
-        name: np.asarray(getattr(report, name))
+        name: getattr(report, name)
         for name in ("participation_rate", "mean_bid", "mean_realized_utility",
                      "premium_award_count")
     }

@@ -1,16 +1,19 @@
 """Tests for the command-line interface: parsing, precedence, output
 formats, exit codes, and byte-level determinism."""
 
+import dataclasses
 import json
 import math
 import os
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sira.cli as cli
 from sira import mechanism
@@ -439,21 +442,91 @@ def _synthetic_payloads():
     }
 
 
+def _plain(value):
+    """value as the plain Python values that json.dumps writes: arrays and
+    numpy scalars through tolist, nan and infinite floats as None."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _refuse(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def _assert_streams_as_plain_dump(payload):
+    """payload streams as json.dumps writes its plain values, and the text
+    is strict JSON."""
+    streamed = "".join(cli._json_chunks(payload))
+    reference = json.dumps(_plain(payload), sort_keys=True, separators=(",", ":"),
+                           allow_nan=False)
+    _assert_same_text(streamed, reference)
+    json.loads(streamed, parse_constant=_refuse)
+
+
 @pytest.mark.parametrize("name", sorted(_synthetic_payloads()))
 def test_streamed_json_equals_one_shot_dump(name):
-    payload = _synthetic_payloads()[name]
-    streamed = "".join(cli._json_chunks(payload))
-    reference = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                           allow_nan=False, default=cli._json_default)
-    # Compare around the first difference: pytest's own diff of one
-    # megabyte-long line takes minutes.
-    at = max(len(os.path.commonprefix([streamed, reference])) - 30, 0)
-    assert streamed[at : at + 60] == reference[at : at + 60]
+    _assert_streams_as_plain_dump(_synthetic_payloads()[name])
 
-    def refuse(token):
-        raise ValueError(f"non-standard JSON constant {token}")
 
-    json.loads(streamed, parse_constant=refuse)
+_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                                   2.2250738585072014e-308, 1.7976931348623157e+308])
+_ARRAY_DTYPES = st.sampled_from([np.bool_, np.int64, np.float16, np.float32, np.float64, "U3"])
+_SCALAR_DTYPES = st.sampled_from([np.bool_, np.int8, np.int64, np.uint8, np.uint64, np.float16,
+                                  np.float32, np.float64, "U3"])
+_JSON_LEAVES = st.one_of(
+    st.floats() | _SPECIAL_FLOATS,
+    st.integers(-(2**63), 2**64 - 1),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    _SCALAR_DTYPES.flatmap(lambda dtype: hnp.from_dtype(np.dtype(dtype)).map(np.dtype(dtype).type)),
+    hnp.arrays(_SCALAR_DTYPES, ()),
+    hnp.arrays(_ARRAY_DTYPES, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=12)),
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_JSON_PAYLOADS)
+@example(payload={"b": [np.float32(np.nan), np.array(-np.inf), np.float16(np.inf)],
+                  "a": np.array([[np.nan, 0.5], [-0.0, np.inf]], np.float16),
+                  "c": (np.array([True] * 11), np.arange(-3, 9), np.array(["x", "yz"] * 4))})
+def test_json_of_any_nested_payload_equals_plain_python_dump(payload):
+    # Blocks of 5 values, so that arrays cross block boundaries.
+    with mock.patch.object(cli, "_JSON_BLOCK", 5):
+        _assert_streams_as_plain_dump(payload)
+
+
+@pytest.mark.parametrize("holder", [float, np.float64, np.float32, np.array],
+                         ids=["float", "float64", "float32", "0-d"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_statistics_are_json_null_and_csv_text(value, holder, tmp_path, monkeypatch):
+    real = cli.validate_product_distribution
+
+    def undefined_statistics(**params):
+        statistic = holder(value)
+        return dataclasses.replace(real(**params), pdf_sup_error=statistic,
+                                   cdf_sup_error=statistic, ks_distance=statistic)
+
+    monkeypatch.setattr(cli, "validate_product_distribution", undefined_statistics)
+    argv = ["validate-dist", "--n-samples", "200", "--bins", "10", "--seed", "1"]
+    json_out, csv_out = tmp_path / "v.json", tmp_path / "v.csv"
+    assert _run([*argv, "--format", "json", "--out", str(json_out)]) == cli.EXIT_OK
+    summary = json.loads(json_out.read_text(encoding="utf-8"), parse_constant=_refuse)["summary"]
+    assert summary == {"pdf_sup_error": None, "cdf_sup_error": None, "ks_distance": None}
+    assert _run([*argv, "--out", str(csv_out)]) == cli.EXIT_OK
+    assert _read_lines(csv_out)[2:5] == [
+        f"# {key} {value}" for key in ("cdf_sup_error", "ks_distance", "pdf_sup_error")]
 
 
 def _json_bool_arrays():
@@ -488,6 +561,8 @@ def _reference_cells(column):
 
 
 def _assert_same_text(written, reference):
+    # Compared around the first difference: pytest's own diff of one
+    # megabyte-long line takes minutes.
     at = max(len(os.path.commonprefix([written, reference])) - 30, 0)
     assert written[at : at + 60] == reference[at : at + 60]
     assert len(written) == len(reference)

@@ -247,6 +247,10 @@ def test_threshold_sweep_workers_do_not_change_results():
     np.testing.assert_array_equal(serial.sira_participation, threaded.sira_participation)
     np.testing.assert_array_equal(serial.mean_bid_uplift, threaded.mean_bid_uplift)
     np.testing.assert_array_equal(
+        serial.mean_bid_uplift_se, np.hypot(serial.sira_mean_bid_se, serial.reserve_mean_bid_se)
+    )
+    np.testing.assert_array_equal(serial.mean_bid_uplift_se, threaded.mean_bid_uplift_se)
+    np.testing.assert_array_equal(
         serial.participation_uplift_se, threaded.participation_uplift_se
     )
 
