@@ -3,9 +3,10 @@
 Every experiment derives its randomness from named substreams of one
 root seed and reports uncertainty alongside point estimates. Where two
 quantities are compared (deviated against undeviated bids, SIRA against
-reserve thresholding), the comparison uses common random numbers and
-the standard error of the paired difference, which is the quantity a
-significance check actually needs.
+reserve thresholding, one clearing price against another), the
+comparison uses common random numbers and the standard error of the
+paired difference, which is the quantity a significance check actually
+needs.
 
 A result holds what its run computed and the grid it was computed on;
 the arguments (family, clearing price, sample sizes, seed) stay with
@@ -22,12 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .mechanism import AuctionConfig, beats, run_reserve_threshold
-from .seeding import STREAM_EXPERIMENT, check_count, child_seed, substream
+from .mechanism import beats
+from .seeding import STREAM_EXPERIMENT, check_count, substream
 from .strategy import (
+    Decision,
     cap_bid,
     check_p_eps,
     realized_utilities,
+    reserve_decision_arrays,
     sira_bid,
     sira_bid_generic,
     sira_decision_arrays,
@@ -171,9 +174,11 @@ def deviation_sweep(
 class ThresholdSweepResult:
     """Participation and bid size for both mechanisms on a p_eps grid.
 
-    Each grid point runs both engines on the same population draw, so
-    participation_uplift is a paired per-agent difference (SIRA
-    participation implies reserve participation never exceeds it). The
+    Every grid point evaluates both decision kernels on one population
+    draw, shared by the whole grid, so participation_uplift is a paired
+    per-agent difference (SIRA participation implies reserve
+    participation never exceeds it), and so is a difference between two
+    grid points: errors at different points are correlated. The
     mean-bid uplift compares means over two different participant sets,
     so it is derived from the per-mechanism columns: their difference,
     with the two standard errors added in quadrature.
@@ -200,24 +205,10 @@ class ThresholdSweepResult:
         return np.hypot(self.sira_mean_bid_se, self.reserve_mean_bid_se)
 
 
-def _mechanism_stats(participates: np.ndarray, bid: np.ndarray) -> tuple[float, ...]:
+def _mechanism_stats(decision: Decision) -> tuple[float, ...]:
     """Participation rate and mean participant bid, each with its standard error."""
-    return (*_mean_se(participates), *_mean_se(bid[np.flatnonzero(participates)]))
-
-
-def _sweep_point(config: AuctionConfig) -> tuple[float, ...]:
-    """One grid point's summary row, in ThresholdSweepResult field order.
-
-    The reserve engine draws the population, and the SIRA decision
-    kernel evaluates the same draw; the summary needs no premium contest.
-    """
-    reserve = run_reserve_threshold(config)
-    sira = sira_decision_arrays(reserve.deployment_value, reserve.premium_value,
-                                config.p_eps, config.family, config.model)
-    res_stats = _mechanism_stats(reserve.participates, reserve.bid)
-    sira_stats = _mechanism_stats(sira.participates, sira.bid)
-    paired = sira.participates.astype(float) - reserve.participates.astype(float)
-    return (*res_stats, *sira_stats, *_mean_se(paired))
+    participants = np.flatnonzero(decision.participates)
+    return (*_mean_se(decision.participates), *_mean_se(decision.bid[participants]))
 
 
 def _usable_cpus() -> int:
@@ -238,11 +229,12 @@ def threshold_sweep(
 ) -> ThresholdSweepResult:
     """Compare the two mechanisms across a grid of clearing prices.
 
-    Grid points are independent (per-point seeds derived from the grid
-    index), so they are evaluated by a thread pool of
+    The population is drawn once, and every grid point evaluates both
+    decision kernels on that one read-only draw (common random numbers
+    across prices). Points are evaluated by a thread pool of
     ``min(workers, grid points, CPUs)`` threads; results are assembled in
     grid order and do not depend on the worker count. Every argument is
-    checked before the first point runs, and a bad one raises DomainError.
+    checked before the draw, and a bad one raises DomainError.
     """
     if not isinstance(family, ValueFamily):
         raise DomainError(f"family must be a ValueFamily, got {family!r}")
@@ -252,17 +244,24 @@ def threshold_sweep(
     for p in grid:
         check_p_eps(p)
     check_count("n_agents", n_agents, 2)
-    SafetyCostModel(gamma)  # raises DomainError for a bad gamma
+    model = SafetyCostModel(gamma)  # raises DomainError for a bad gamma
     check_count("workers", workers, 1)
 
-    configs = [
-        AuctionConfig(n_agents=n_agents, p_eps=float(p), family=family, gamma=gamma,
-                      seed=child_seed(seed, STREAM_EXPERIMENT, _EXP_SWEEP, i))
-        for i, p in enumerate(grid)
-    ]
+    rng = substream(seed, STREAM_EXPERIMENT, _EXP_SWEEP)
+    total, lam = sample_valuations(family, rng, n_agents)
+    v_p = lam * total
+    v_d = total - v_p
+
+    def point(p: float) -> tuple[float, ...]:
+        """One grid point's summary row, in ThresholdSweepResult field order."""
+        reserve = reserve_decision_arrays(v_d, p, model)
+        sira = sira_decision_arrays(v_d, v_p, p, family, model)
+        paired = sira.participates.astype(float) - reserve.participates.astype(float)
+        return (*_mechanism_stats(reserve), *_mechanism_stats(sira), *_mean_se(paired))
+
     # pool.map submits every point at once, so bound the threads it starts.
     with ThreadPoolExecutor(max_workers=min(workers, grid.size, _usable_cpus())) as pool:
-        rows = list(pool.map(_sweep_point, configs))
+        rows = list(pool.map(point, grid.tolist()))
     columns = (np.array(column) for column in zip(*rows))
     return ThresholdSweepResult(grid, *columns)
 

@@ -6,10 +6,11 @@ single 64-bit root seed with a fixed counter scheme:
     SeedSequence(seed, spawn_key=(purpose, index...))
 
 Purpose codes are module-level constants below. Round-indexed streams
-append the round number, experiment streams append the grid index. The
-scheme guarantees that results depend only on (seed, purpose, index),
-never on scheduling order or worker count, and that distinct purposes
-never share a stream.
+append the round number; experiment streams append an experiment code,
+and a stream index where one experiment draws several. The scheme
+guarantees that results depend only on (seed, purpose, index), never on
+scheduling order or worker count, and that distinct purposes never
+share a stream.
 
 Generators use the counter-based Philox bit generator, which is cheap to
 spawn in bulk and stable across platforms.
@@ -58,7 +59,7 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def child_seed(seed: int, *key: int) -> int:
-    """Derive a 64-bit child seed, used to key nested engine runs."""
+    """Derive a 64-bit child seed from a substream key."""
     check_seed(seed)
     seq = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
     return int(seq.generate_state(1, dtype=np.uint64)[0])

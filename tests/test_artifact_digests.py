@@ -145,15 +145,15 @@ DIGESTS = {
     "reserve-beta22.json":
         "abc0d1751140d196706c512b6b34f2a32f17a2ce4aad5c987590eeb738cba98d",
     "sweep-beta22-sparse.csv":
-        "294b481267604a987dda7d5ca8493c352ed3f94759f7c57d69873d06f1ce40d4",
+        "331e67fec85e4940554b9f8ed1c2a683159cb0fefc7d8b06e287fa1dc5332b8c",
     "sweep-beta22-sparse.json":
-        "5f35993d48907d34661510f69ec38b5b7a7fe89e35f81cf10d532b1ddff32f20",
+        "a7ea461cbd2580ee8a074dae2bb6c7305e5390f1d1fcb30417a7a9214366597d",
     "sweep-beta22-workers.json":
-        "91ff58032d9d7f8c2c57e11e1c67b0f9f82cb0cef2d31b19d70d4381c0d07b63",
+        "a23d43911817b1cb93535f20109e5ca6e0edcf307e2d649943ce41f7b0dd8e92",
     "sweep-uniform.csv":
-        "63d62c9bdda2442512f567061e8b323b5eeb90fefb7ec7a24f5d342bf19a7d93",
+        "e39f67b46cc87b439367d499d5e94b4f4340158e407c7d788a313299dba17d7d",
     "sweep-uniform.json":
-        "27cfc7c8fe063cb1dd97b26fb1b4f1b2a2297821c7863d9d9b308e90d310646b",
+        "fc99cf94f5a248d56a32637becfaf36b4058aa5fd64a7fa393623731f65eff1d",
     "validate-dist-beta22.csv":
         "38822e00c4b942134bd477fc7d9be5e26af447e9ee4159afceef07833489a7e6",
     "validate-dist-beta22.json":

@@ -4,6 +4,7 @@ distribution validation, and the two cross-checks."""
 import dataclasses
 import hashlib
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from sira.value_model import (
     ValueFamily,
     sample_scaling_factors,
     sample_total_values,
+    sample_valuations,
 )
 
 PROBE = (0.5, 0.25)  # probe_v_d, probe_v_p
@@ -240,18 +242,23 @@ def test_threshold_sweep_uplift_and_superset():
     np.testing.assert_allclose(result.reserve_mean_bid, grid, atol=1e-12)
 
 
-def test_threshold_sweep_workers_do_not_change_results():
-    grid = [0.25, 0.5, 0.75]
+def test_threshold_sweep_workers_do_not_change_results(monkeypatch):
+    # Eight threads, more than the machine may have CPUs, switching as
+    # often as the interpreter allows, all reading one shared draw.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    grid = np.linspace(0.25, 0.75, 17)
     serial = threshold_sweep(ValueFamily.BETA22, grid, n_agents=5000, seed=7)
-    threaded = threshold_sweep(ValueFamily.BETA22, grid, n_agents=5000, seed=7, workers=3)
-    np.testing.assert_array_equal(serial.sira_participation, threaded.sira_participation)
-    np.testing.assert_array_equal(serial.mean_bid_uplift, threaded.mean_bid_uplift)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = threshold_sweep(ValueFamily.BETA22, grid, n_agents=5000, seed=7, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    for field in dataclasses.fields(serial):
+        np.testing.assert_array_equal(getattr(threaded, field.name),
+                                      getattr(serial, field.name))
     np.testing.assert_array_equal(
         serial.mean_bid_uplift_se, np.hypot(serial.sira_mean_bid_se, serial.reserve_mean_bid_se)
-    )
-    np.testing.assert_array_equal(serial.mean_bid_uplift_se, threaded.mean_bid_uplift_se)
-    np.testing.assert_array_equal(
-        serial.participation_uplift_se, threaded.participation_uplift_se
     )
 
 
@@ -304,6 +311,30 @@ def test_threshold_sweep_bounds_its_thread_pool(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     sweep_wide()
     assert sizes == [1, 2, 3, 2]
+
+
+@pytest.mark.parametrize("family", list(ValueFamily))
+def test_reserve_participation_never_rises_with_the_clearing_price(family):
+    # Every price is evaluated on one population, so an agent that clears
+    # a price clears every lower one, even on a grid finer than the
+    # sampling error.
+    grid = np.linspace(0.3, 0.31, 11)
+    result = threshold_sweep(family, grid, n_agents=2000, seed=3)
+    assert np.all(np.diff(result.reserve_participation) <= 0.0)
+
+
+@pytest.mark.parametrize("points", [1, 17])
+def test_threshold_sweep_draws_its_population_once(monkeypatch, points):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sample_valuations(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_valuations", counting)
+    threshold_sweep(ValueFamily.BETA22, np.linspace(0.1, 0.9, points), n_agents=500, seed=4,
+                    workers=2)
+    assert len(calls) == 1
 
 
 def test_threshold_sweep_rejects_bad_grid():
@@ -404,9 +435,13 @@ def test_sample_sizes_must_be_integers(name, n):
     ({"gamma": 0.0}, "gamma must be a positive real"),
     ({"family": "uniform"}, "family must be a ValueFamily"),
 ], ids=["n_agents", "workers", "gamma", "family"])
-def test_bad_threshold_sweep_arguments_are_domain_errors(argument, match):
-    # DomainError, like every other experiment argument; not the
-    # ConfigError of the engine configuration the sweep builds.
+def test_bad_threshold_sweep_arguments_are_domain_errors(monkeypatch, argument, match):
+    # DomainError, like every other experiment argument, raised before
+    # the population is drawn.
+    def fail(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(experiments, "sample_valuations", fail)
     sweep = {"family": UNIFORM, "p_eps_grid": [0.3, 0.6], "n_agents": 200, "seed": 1}
     with pytest.raises(DomainError, match=match):
         threshold_sweep(**{**sweep, **argument})
