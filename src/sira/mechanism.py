@@ -6,6 +6,8 @@ participant at the clearing price and awards no premium. The SIRA
 engine additionally runs the all-pay premium contest: accepted agents
 are paired, the higher bid in a comparison wins the premium, ties fall
 to a fair coin, and every submitted bid is sunk whether or not it wins.
+A pairing mode only draws each participant's opponent and coin; every
+round is then one beats comparison over all participants.
 Every participant is accepted: the SIRA decision kernel raises
 NumericalError if a participant's bid falls below the clearing price.
 
@@ -95,52 +97,35 @@ def beats(bid, other, coins):
     return np.where(bid == other, coins, bid > other)
 
 
-def _draw_opponent_ranks(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform opponent index over the other m - 1 accepted agents."""
-    r = rng.integers(0, m - 1, size=m)
-    return r + (r >= np.arange(m))
+def _skip_self(rank, agent):
+    """Map a rank uniform over the m - 1 others to an opponent index other than agent."""
+    return rank + (rank >= agent)
 
 
-def _award_round_independent(
-    bids: np.ndarray, opp_rng: np.random.Generator, tie_rng: np.random.Generator
-) -> np.ndarray:
-    m = bids.size
-    if m < 2:
-        return np.zeros(m, dtype=bool)
-    ranks = _draw_opponent_ranks(m, opp_rng)
-    coins = tie_rng.random(m) < 0.5
-    return beats(bids, bids[ranks], coins)
+def _draw_independent(m: int, opp_rng: np.random.Generator, tie_rng: np.random.Generator):
+    """Each of m agents faces one of the other m - 1, uniformly, with its own coin."""
+    opponent = _skip_self(opp_rng.integers(0, m - 1, size=m), np.arange(m))
+    return opponent, tie_rng.random(m) < 0.5
 
 
-def _award_round_perfect(
-    bids: np.ndarray, opp_rng: np.random.Generator, tie_rng: np.random.Generator
-) -> np.ndarray:
-    """Disjoint random pairs; an odd agent out faces a drawn opponent."""
-    m = bids.size
-    won = np.zeros(m, dtype=bool)
-    if m < 2:
-        return won
+def _draw_perfect(m: int, opp_rng: np.random.Generator, tie_rng: np.random.Generator):
+    """Disjoint random pairs; an odd agent out faces a drawn opponent.
+
+    Partners face each other and hold opposite values of one coin, so a
+    tied pair has exactly one winner.
+    """
     perm = opp_rng.permutation(m)
-    n_pairs = m // 2
-    first = perm[0 : 2 * n_pairs : 2]
-    second = perm[1 : 2 * n_pairs : 2]
-    coins = tie_rng.random(n_pairs) < 0.5
-    first_wins = beats(bids[first], bids[second], coins)
-    won[first] = first_wins
-    won[second] = ~first_wins
+    first, second = perm[0 : m - 1 : 2], perm[1::2]  # for odd m, both stop before perm[-1]
+    coins = tie_rng.random(m // 2 + m % 2) < 0.5
+    opponent = np.empty_like(perm)
+    coin = np.empty(m, dtype=bool)
+    opponent[first], opponent[second] = second, first
+    coin[first], coin[second] = coins[: m // 2], ~coins[: m // 2]
     if m % 2 == 1:
-        leftover = int(perm[-1])
-        r = int(opp_rng.integers(0, m - 1))
-        other = r + (r >= leftover)
-        coin = bool(tie_rng.random() < 0.5)
-        won[leftover] = beats(bids[leftover], bids[other], coin)
-    return won
-
-
-_AWARD_ROUND = {
-    PairingMode.INDEPENDENT_OPPONENT: _award_round_independent,
-    PairingMode.PERFECT_MATCHING: _award_round_perfect,
-}
+        leftover = perm[-1]
+        opponent[leftover] = _skip_self(opp_rng.integers(0, m - 1), leftover)
+        coin[leftover] = coins[-1]
+    return opponent, coin
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +250,14 @@ def _sira_from_population(
     decision = sira_decision_arrays(total - v_p, v_p, config.p_eps, config.family, config.model)
     accepted_index = np.flatnonzero(decision.participates)
     accepted_bids = decision.bid[accepted_index]
-    award_round = _AWARD_ROUND[config.pairing]
+    m = accepted_index.size
+    draw = _draw_perfect if config.pairing is PairingMode.PERFECT_MATCHING else _draw_independent
     won_by_round = np.zeros((rounds, total.size), dtype=bool)
-    for r in range(rounds):
-        won_by_round[r, accepted_index] = award_round(
-            accepted_bids,
-            substream(config.seed, STREAM_OPPONENTS, r),
-            substream(config.seed, STREAM_TIES, r),
-        )
+    if m >= 2:  # with fewer than two participants nobody is compared
+        for r in range(rounds):
+            opp_rng = substream(config.seed, STREAM_OPPONENTS, r)
+            opponent, coin = draw(m, opp_rng, substream(config.seed, STREAM_TIES, r))
+            won_by_round[r, accepted_index] = beats(accepted_bids, accepted_bids[opponent], coin)
     return AuctionReport(SIRA, total, lam, *decision, won_by_round)
 
 

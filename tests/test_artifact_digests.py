@@ -4,12 +4,14 @@ Each digest pins the exact bytes a subcommand writes for a fixed
 specification. A change that leaves the math alone must leave every
 digest unchanged; a change that alters bytes on purpose updates the
 digest here and says why in CHANGES.md. The set covers both value
-families, both pairing modes, CSV and JSON, a deviation grid with a
-rejected zero bid (written as -0), a sweep whose grid points have one
-participant, none, and a clearing price in the edge window near 1, and
-per-agent CSV and JSON long enough to be written in more than one block
-of rows, including a two-round JSON whose per-round arrays are written
-row by row. Two more multi-block CSVs pin cells of exactly 1 and cells
+families, both pairing modes, CSV and JSON, a perfect matching with an
+odd participant count (41 of 101, so one agent is left out of the
+pairs in every round), a deviation grid with a rejected zero bid
+(written as -0), a sweep whose grid points have one participant, none,
+and a clearing price in the edge window near 1, and per-agent CSV and
+JSON long enough to be written in more than one block of rows,
+including a two-round JSON whose per-round arrays are written row by
+row. Two more multi-block CSVs pin cells of exactly 1 and cells
 above 1: a Beta(2, 2) auction in the edge window, whose bids are capped
 at 1 below raw bids above it, and a five-round repeat, whose realized
 utilities exceed 1. Two crosschecks at the benchmark's size (1000
@@ -57,6 +59,10 @@ RUNS = {
     "repeat-uniform-perfect": [
         "repeat", "--family", "uniform", "--pairing", "perfect", "--rounds", "3",
         "--n-agents", "101", "--p-eps", "0.5", "--seed", "14"
+    ],
+    "repeat-uniform-perfect-odd": [
+        "repeat", "--family", "uniform", "--pairing", "perfect", "--rounds", "3",
+        "--n-agents", "101", "--p-eps", "0.5", "--seed", "1"
     ],
     "deviation-uniform": [
         "deviation", "--family", "uniform", "--n-opponents", "5000", "--seed", "23"
@@ -140,6 +146,10 @@ DIGESTS = {
         "6c8ea352d98e9fe467d5fa7c791489046741101d9e3ebea27de62e13acfcb61f",
     "repeat-uniform-perfect.json":
         "51ab6b1a083e519f8a13fa50cfaa102a025fda1209c6a5af1979d438c95d18da",
+    "repeat-uniform-perfect-odd.csv":
+        "399c3c7d7b2f54489cb62c74c12397c67267bfa4f80933a0dd2bc953fd632fc3",
+    "repeat-uniform-perfect-odd.json":
+        "550738617ff4dd5006ee8d8d8452acb72fbfb752c2f93a3cb85f1e99ff05e812",
     "reserve-beta22.csv":
         "46e8f6033d4bfa2afd80c59bf120c414e8150d2834413786e0f0cb99d22dfd2b",
     "reserve-beta22.json":

@@ -107,8 +107,8 @@ def test_config_file_integers_must_be_integral(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    [b"\xff\xfe{}", b"[" * 100_000],
-    ids=["not-utf8", "nested-too-deep"],
+    [b"\xff\xfe{}", b"[" * 100_000, b"[1, 2]"],
+    ids=["not-utf8", "nested-too-deep", "not-an-object"],
 )
 def test_unreadable_config_file_exits_usage(content, tmp_path, capsys):
     cfg = tmp_path / "run.json"
@@ -132,6 +132,30 @@ def test_bad_choice_exits_usage_naming_the_flag(flag, value, source, tmp_path, c
     err = capsys.readouterr().err
     assert flag in err and value in err
     assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, content, message",
+    [
+        ("auction", {"p_eps": True}, "--p-eps: expected a number, got True"),
+        ("deviation", {"deltas": 0.5}, "--deltas: expected a comma-separated list"),
+    ],
+    ids=["bool-number", "scalar-list"],
+)
+def test_ill_typed_config_file_exits_usage(subcommand, content, message, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(content))
+    argv = [subcommand, "--config", str(cfg), "--out", str(tmp_path / "a.csv")]
+    assert _run(argv) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
+
+
+def test_zero_workers_exits_usage(tmp_path, capsys):
+    argv = ["sweep", "--workers", "0", "--out", str(tmp_path / "s.csv")]
+    assert _run(argv) == cli.EXIT_USAGE
+    assert "--workers: expected a positive integer, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_config_file_subcommand_mismatch(tmp_path):

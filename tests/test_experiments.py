@@ -598,3 +598,13 @@ def test_equilibrium_crosscheck_rejects_bad_bucket():
         equilibrium_crosscheck(ValueFamily.UNIFORM, 0.5, 0.6, 0.02, 1000, seed=1)
     with pytest.raises(DomainError):
         equilibrium_crosscheck(ValueFamily.UNIFORM, 0.5, 0.01, 0.05, 1000, seed=1)
+    with pytest.raises(DomainError, match="bucket_halfwidth must be positive"):
+        equilibrium_crosscheck(ValueFamily.UNIFORM, 0.5, 0.2, 0.0, 1000, seed=1)
+
+
+def test_equilibrium_crosscheck_rejects_a_bucket_without_mass():
+    # A premium needs V >= 2 * premium, so at the top of [0, 1/2] a bucket
+    # 1e-7 wide holds no Beta(2, 2) mass in double precision.
+    halfwidth = 0.5e-7
+    with pytest.raises(DomainError, match="bucket has no probability mass"):
+        equilibrium_crosscheck(ValueFamily.BETA22, 0.5, 0.5 - halfwidth, halfwidth, 1000, seed=1)

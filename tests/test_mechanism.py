@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sira.mechanism as mechanism
 import sira.strategy as strategy
 from sira.errors import ConfigError, NumericalError
 from sira.experiments import equilibrium_crosscheck, threshold_sweep
@@ -16,9 +17,8 @@ from sira.mechanism import (
     SIRA,
     AuctionConfig,
     PairingMode,
-    _award_round_independent,
-    _award_round_perfect,
-    _draw_opponent_ranks,
+    _draw_independent,
+    _draw_perfect,
     _reserve_from_population,
     _sira_from_population,
     beats,
@@ -35,6 +35,12 @@ from sira.value_model import AgentValuation, PremiumValueDistribution, ValueFami
 # closed form 1 + ln(1/2) = 0.3068528...
 RESERVE_PARTICIPATION_UNIFORM_HALF = 0.306785
 RESERVE_PARTICIPATION_BETA_HALF = 0.250071
+
+
+def _contest(draw, bids, opp_rng, tie_rng):
+    """One engine round on bids: the drawn opponents and coins, then beats."""
+    opponent, coin = draw(bids.size, opp_rng, tie_rng)
+    return beats(bids, bids[opponent], coin)
 
 
 def _config(**overrides):
@@ -61,7 +67,7 @@ def test_compare_pair_strict_order():
 def test_compare_pair_tie_uses_fair_coin():
     # With every bid equal, each comparison of the engine is a coin flip.
     bids = np.full(10_000, 0.5)
-    won = _award_round_independent(bids, substream(2, 0), substream(2, 1))
+    won = _contest(_draw_independent, bids, substream(2, 0), substream(2, 1))
     assert 4800 < int(won.sum()) < 5200
 
 
@@ -106,17 +112,19 @@ def test_opponent_ranks_never_self_and_in_range():
     rng = substream(4, 0)
     for m in (2, 3, 5, 17):
         for _ in range(50):
-            ranks = _draw_opponent_ranks(m, rng)
+            ranks, coins = _draw_independent(m, rng, rng)
             assert ranks.shape == (m,)
             assert np.all(ranks >= 0) and np.all(ranks < m)
             assert np.all(ranks != np.arange(m))
+            assert coins.shape == (m,) and coins.dtype == bool
 
 
 def test_opponent_ranks_cover_all_alternatives():
     rng = substream(5, 0)
     seen = set()
     for _ in range(400):
-        seen.update((i, int(j)) for i, j in enumerate(_draw_opponent_ranks(3, rng)))
+        ranks, _ = _draw_independent(3, rng, rng)
+        seen.update((i, int(j)) for i, j in enumerate(ranks))
     assert seen == {(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)}
 
 
@@ -125,7 +133,7 @@ def test_perfect_matching_winner_count(m):
     opp_rng = substream(6, 0)
     tie_rng = substream(6, 1)
     bids = substream(6, 2).random(m)  # distinct with probability 1
-    won = _award_round_perfect(bids, opp_rng, tie_rng)
+    won = _contest(_draw_perfect, bids, opp_rng, tie_rng)
     assert int(won.sum()) in (m // 2, m // 2 + 1)
 
 
@@ -138,9 +146,36 @@ def test_perfect_matching_winner_count(m):
 def test_perfect_matching_awards_one_per_pair_plus_leftover(m, levels, seed):
     # Few bid levels force ties, which the coins settle within each pair.
     bids = substream(seed, 2).integers(0, levels, size=m) / levels
-    won = _award_round_perfect(bids, substream(seed, 0), substream(seed, 1))
+    won = _contest(_draw_perfect, bids, substream(seed, 0), substream(seed, 1))
     extra = int(won.sum()) - m // 2
     assert extra in ((0, 1) if m % 2 else (0,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(min_value=2, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_perfect_partners_face_each_other_with_opposite_coins(m, seed):
+    opponent, coin = _draw_perfect(m, substream(seed, 0), substream(seed, 1))
+    agents = np.arange(m)
+    assert np.all(opponent != agents) and np.all((opponent >= 0) & (opponent < m))
+    paired = opponent[opponent] == agents
+    # Everyone is paired but the odd agent out, whose opponent has a partner.
+    assert int((~paired).sum()) == m % 2
+    np.testing.assert_array_equal(coin[paired], ~coin[opponent[paired]])
+
+
+def test_perfect_odd_agent_out_never_faces_itself():
+    rng = substream(8, 0)
+    faced = set()
+    for _ in range(300):
+        opponent, _ = _draw_perfect(3, rng, rng)
+        (leftover,) = np.flatnonzero(opponent[opponent] != np.arange(3))
+        assert opponent[leftover] != leftover
+        faced.add((int(leftover), int(opponent[leftover])))
+    # Every agent is left out sometimes and then faces either other agent.
+    assert faced == {(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +196,10 @@ def test_config_validation():
         _config(rounds=0)
     with pytest.raises(ConfigError):
         _config(seed=-1)
+    with pytest.raises(ConfigError, match="family must be a ValueFamily"):
+        _config(family="uniform")
+    with pytest.raises(ConfigError, match="pairing must be a PairingMode"):
+        _config(pairing="perfect")
 
 
 @pytest.mark.parametrize("field, low", [("n_agents", 2), ("rounds", 1)])
@@ -312,6 +351,22 @@ def test_sira_single_accepted_agent_wins_nothing():
     # lambda = 0 means the bid is exactly the clearing price.
     assert report.realized_utility[0] == pytest.approx(0.9 - 0.5, abs=1e-15)
     assert report.realized_utility[1] == 0.0
+
+
+@pytest.mark.parametrize("pairing", list(PairingMode))
+@pytest.mark.parametrize("total", [[0.9, 0.1, 0.2], [0.1, 0.2, 0.3]])
+def test_round_with_fewer_than_two_participants_awards_nothing(pairing, total, monkeypatch):
+    # No comparison is drawn at all: either drawer would fail here.
+    def refuse(*args):
+        raise AssertionError("a contest was drawn")
+
+    monkeypatch.setattr(mechanism, "_draw_independent", refuse)
+    monkeypatch.setattr(mechanism, "_draw_perfect", refuse)
+    config = _config(n_agents=3, rounds=3, pairing=pairing)
+    report = _sira_from_population(config, np.array(total), np.zeros(3), rounds=3)
+    assert int(report.participates.sum()) == (total[0] > 0.5)
+    assert report.won_by_round.shape == (3, 3)
+    assert report.premium_award_count == 0
 
 
 def test_participant_bid_below_the_price_is_a_numerical_error(monkeypatch):

@@ -86,6 +86,11 @@ def test_nonpositive_tolerance_rejected(bad_tol):
         adaptive_simpson(lambda x: x, 0.0, 1.0, tol=bad_tol)
 
 
+def test_max_depth_below_one_rejected():
+    with pytest.raises(DomainError, match="max_depth must be at least 1"):
+        adaptive_simpson(lambda x: x, 0.0, 1.0, max_depth=0)
+
+
 def test_nonfinite_limits_rejected():
     with pytest.raises(DomainError):
         adaptive_simpson(lambda x: x, 0.0, math.inf)

@@ -196,6 +196,18 @@ def test_beta_sampling_matches_distribution():
     assert ks < 0.01
 
 
+def test_truncation_point_of_one_rejected():
+    with pytest.raises(DomainError, match="lower truncation point"):
+        sample_total_values(ValueFamily.UNIFORM, substream(1, 0), 10, lower=1.0)
+
+
+def test_family_given_as_a_string_rejected():
+    with pytest.raises(DomainError, match="unknown value family"):
+        sample_total_values("uniform", substream(1, 0), 10)
+    with pytest.raises(DomainError, match="unknown value family"):
+        PremiumValueDistribution("beta22", 0.5)
+
+
 def test_agent_valuation_validation_and_reconstruction():
     with pytest.raises(DomainError):
         AgentValuation(total_value=1.2, scaling_factor=0.1)
