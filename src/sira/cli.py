@@ -65,7 +65,7 @@ from .experiments import (
     threshold_sweep,
     validate_product_distribution,
 )
-from .seeding import fresh_seed
+from .seeding import check_count, fresh_seed
 from .value_model import ValueFamily
 
 EXIT_OK = 0
@@ -117,8 +117,10 @@ def _to_grid(value) -> list[float]:
             raise ConfigError(f"grid must look like start:stop:count, got {value!r}")
         start, stop = _to_float(parts[0]), _to_float(parts[1])
         count = _to_int(parts[2])
-        if count < 2:
-            raise ConfigError(f"grid count must be at least 2, got {count}")
+        try:
+            check_count("grid count", count, 2)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
         return [float(x) for x in np.linspace(start, stop, count)]
     return _to_float_list(value)
 

@@ -68,7 +68,7 @@ class AuctionConfig:
     def __post_init__(self) -> None:
         try:
             check_count("n_agents", self.n_agents, 2)
-            check_count("rounds", self.rounds, 1)
+            check_count("rounds", self.rounds, 1, per=self.n_agents)
             check_p_eps(self.p_eps)
             SafetyCostModel(self.gamma)
         except DomainError as exc:

@@ -28,6 +28,9 @@ STREAM_TIES = 2
 STREAM_EXPERIMENT = 3
 
 _SEED_MAX = 2**64
+# The most elements a float64 array can have: numpy refuses to describe a
+# larger one ("array is too big") before it allocates anything.
+COUNT_MAX = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 def is_integer(value) -> bool:
@@ -35,11 +38,15 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_count(name: str, value, low: int) -> None:
+def check_count(name: str, value, low: int, per: int = 1) -> None:
     """Require a sample size, bin, round or worker count: an integer of at
-    least low. Raises DomainError."""
+    least low, such that value * per float64s fit in one numpy array.
+    Raises DomainError."""
     if not is_integer(value) or value < low:
         raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    high = COUNT_MAX // int(per)
+    if int(value) > high:
+        raise DomainError(f"{name} must be at most {high}, got {value!r}")
 
 
 def check_seed(seed: int) -> int:

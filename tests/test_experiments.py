@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sira import experiments
-from sira.errors import DomainError
+from sira.errors import DomainError, NumericalError
 from sira.experiments import (
     closed_form_vs_quadrature,
     deviation_sweep,
@@ -608,3 +608,12 @@ def test_equilibrium_crosscheck_rejects_a_bucket_without_mass():
     halfwidth = 0.5e-7
     with pytest.raises(DomainError, match="bucket has no probability mass"):
         equilibrium_crosscheck(ValueFamily.BETA22, 0.5, 0.5 - halfwidth, halfwidth, 1000, seed=1)
+
+
+def test_bucket_sampling_gives_up_when_no_draw_is_accepted(monkeypatch):
+    # Totals of exactly 2 lo leave the premium [lo, min(hi, V/2)] no width, so
+    # no draw is ever accepted; each of the 10,000 blocks holds one value.
+    lo = 0.3 - 0.02
+    monkeypatch.setattr(experiments, "sample_total_values", lambda *args: np.full(1, 2 * lo))
+    with pytest.raises(NumericalError, match="bucket sampling failed to fill"):
+        equilibrium_crosscheck(ValueFamily.UNIFORM, 0.5, 0.3, 0.02, 1000, seed=1)

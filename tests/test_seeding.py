@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from sira.errors import ConfigError
+from sira.errors import ConfigError, DomainError
 from sira.seeding import (
+    COUNT_MAX,
     STREAM_OPPONENTS,
     STREAM_VALUATIONS,
+    check_count,
     check_seed,
     child_seed,
     fresh_seed,
@@ -48,6 +50,16 @@ def test_check_seed_rejects_bad_values():
     with pytest.raises(ConfigError):
         check_seed(1.5)
     assert check_seed(7) == 7
+
+
+def test_count_bound_is_the_largest_float64_array_numpy_describes():
+    # numpy checks a shape's element count, zero axes aside, before allocating.
+    np.empty((0, COUNT_MAX))
+    with pytest.raises(ValueError, match="array is too big"):
+        np.empty((0, COUNT_MAX + 1))
+    check_count("n", np.uint64(COUNT_MAX // 16), 1, per=np.uint32(16))
+    with pytest.raises(DomainError, match="n must be at most"):
+        check_count("n", np.uint64(COUNT_MAX // 16 + 1), 1, per=np.uint32(16))
 
 
 def test_fresh_seed_in_range():
