@@ -40,6 +40,7 @@ from .value_model import (
     PremiumValueDistribution,
     SafetyCostModel,
     ValueFamily,
+    blocks,
     sample_total_values,
     sample_valuations,
 )
@@ -77,10 +78,16 @@ def _equilibrium_bids(
 
     Totals are conditioned on [p_eps, 1]: only agents whose value
     clears the threshold ever enter a comparison, and the premium-value
-    distribution is defined over exactly this population.
+    distribution is defined over exactly this population. v_p = lambda V
+    is formed in the lambda buffer, and at most two full-size arrays are
+    held at once.
     """
-    totals, lams = sample_valuations(family, rng, size, lower=p_eps)
-    return cap_bid(sira_bid(family, lams * totals, p_eps))
+    totals, v_p = sample_valuations(family, rng, size, lower=p_eps)
+    v_p *= totals
+    del totals
+    bids = sira_bid(family, v_p, p_eps)
+    del v_p
+    return cap_bid(bids)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +325,9 @@ def validate_product_distribution(
     check_count("n_samples", n_samples, 2)
     check_count("bins", bins, 10)
     rng = substream(seed, STREAM_EXPERIMENT, _EXP_VALIDATE, 0)
-    totals, lams = sample_valuations(family, rng, n_samples, lower=p_eps)
-    products = lams * totals
+    totals, products = sample_valuations(family, rng, n_samples, lower=p_eps)
+    products *= totals
+    del totals
 
     counts, edges = np.histogram(products, bins=bins, range=(0.0, PREMIUM_MAX))
     width = PREMIUM_MAX / bins
@@ -333,17 +341,15 @@ def validate_product_distribution(
     pdf_sup = float(np.max(np.abs(density - analytic_density)[interior]))
     cdf_sup = float(np.max(np.abs(cumulative - analytic_cdf)))
 
-    ordered = np.sort(products)
-    cdf_at_points = dist.cdf(ordered)
-    steps = np.arange(1, n_samples + 1) / n_samples
-    ks = float(
-        max(
-            np.max(np.abs(cdf_at_points - steps)),
-            np.max(np.abs(cdf_at_points - (steps - 1.0 / n_samples))),
-        )
-    )
+    products.sort()
+    ks = 0.0
+    for block in blocks(n_samples):
+        cdf_at_points = dist.cdf(products[block])
+        steps = np.arange(block.start + 1, block.start + cdf_at_points.size + 1) / n_samples
+        ks = max(ks, np.max(np.abs(cdf_at_points - steps)),
+                 np.max(np.abs(cdf_at_points - (steps - 1.0 / n_samples))))
     return DistributionValidation(
-        edges, density, cumulative, analytic_density, analytic_cdf, pdf_sup, cdf_sup, ks
+        edges, density, cumulative, analytic_density, analytic_cdf, pdf_sup, cdf_sup, float(ks)
     )
 
 

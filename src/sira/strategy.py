@@ -32,6 +32,7 @@ from .value_model import (
     SafetyCostModel,
     AgentValuation,
     ValueFamily,
+    blocks,
 )
 
 P_EPS_MIN = 1e-6
@@ -56,17 +57,30 @@ def cap_bid(raw_bid):
     return float(out) if np.ndim(raw_bid) == 0 else out
 
 
-def _bid_and_cdf(family: ValueFamily, v_p, p_eps):
-    """Uncapped equilibrium bid at v_p and the premium cdf F_v(v_p) it used."""
+def _equilibrium_bid(family: ValueFamily, v_p, p_eps, cdf_out=None):
+    """Uncapped equilibrium bid at v_p, built block by block into an array
+    of v_p's shape; the premium cdf F_v(v_p) it used goes to cdf_out if given."""
     p_eps = check_p_eps(p_eps)
     dist = PremiumValueDistribution(family=family, p_eps=p_eps)
-    cdf, integral = dist.cdf_and_integral(v_p)
-    return p_eps + v_p * cdf - integral, cdf
+    v = np.asarray(v_p, dtype=float).reshape(-1)
+    bid = np.empty(np.shape(v_p))
+    for block in blocks(v.size):
+        cdf, integral = dist.cdf_and_integral(v[block])
+        bid.reshape(-1)[block] = p_eps + v[block] * cdf - integral
+        if cdf_out is not None:
+            cdf_out.reshape(-1)[block] = cdf
+    return bid
+
+
+def _bid_and_cdf(family: ValueFamily, v_p, p_eps):
+    """Uncapped equilibrium bid at v_p and the premium cdf F_v(v_p) it used."""
+    cdf = np.empty(np.shape(v_p))
+    return _equilibrium_bid(family, v_p, p_eps, cdf), cdf
 
 
 def sira_bid(family: ValueFamily, v_p, p_eps):
     """Uncapped equilibrium bid p_eps + v_p F_v(v_p) - integral_0^{v_p} F_v."""
-    bid = _bid_and_cdf(family, v_p, p_eps)[0]
+    bid = _equilibrium_bid(family, v_p, p_eps)
     return float(bid) if np.ndim(bid) == 0 else bid
 
 

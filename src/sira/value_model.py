@@ -29,6 +29,14 @@ from .errors import DomainError, NumericalError
 PREMIUM_MAX = 0.5
 _CLAMP_TOL = 1e-14
 _HALF_SQRT3 = 0.5 * math.sqrt(3.0)
+# Elements per block of an elementwise population kernel: a float64
+# temporary is 512 KiB, so a kernel's working set stays in a 4 MiB L2.
+BLOCK = 1 << 16
+
+
+def blocks(n: int) -> list[slice]:
+    """Slices of at most BLOCK elements that cover range(n) in order."""
+    return [slice(start, start + BLOCK) for start in range(0, n, BLOCK)]
 
 
 class ValueFamily(Enum):
@@ -102,10 +110,14 @@ def beta22_ppf(q):
     q_arr = np.asarray(q, dtype=float)
     if not np.all((q_arr >= 0.0) & (q_arr <= 1.0)):
         raise DomainError("quantile outside [0, 1]")
-    upper = q_arr > 0.5
-    phi = (2.0 / 3.0) * np.arcsin(np.sqrt(np.minimum(q_arr, 1.0 - q_arr)))
-    h = np.sin(0.5 * phi) ** 2 + _HALF_SQRT3 * np.sin(phi)
-    x = np.where(upper, 1.0 - h, h)
+    x = np.empty(q_arr.shape)
+    flat_q, flat_x = q_arr.reshape(-1), x.reshape(-1)
+    for block in blocks(flat_q.size):
+        q_b = flat_q[block]
+        upper = q_b > 0.5
+        phi = (2.0 / 3.0) * np.arcsin(np.sqrt(np.minimum(q_b, 1.0 - q_b)))
+        h = np.sin(0.5 * phi) ** 2 + _HALF_SQRT3 * np.sin(phi)
+        flat_x[block] = np.where(upper, 1.0 - h, h)
     return float(x) if scalar else x
 
 
@@ -124,7 +136,9 @@ def sample_total_values(
         raise DomainError(f"lower truncation point outside [0, 1): {lower}")
     u = rng.random(size)
     if family is ValueFamily.UNIFORM:
-        return lower + u * (1.0 - lower)
+        u *= 1.0 - lower
+        u += lower
+        return u
     if family is ValueFamily.BETA22:
         if lower == 0.0:
             return beta22_ppf(u)
@@ -138,7 +152,9 @@ def sample_total_values(
 
 def sample_scaling_factors(rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw scaling factors lambda uniformly from [0, 1/2]."""
-    return 0.5 * rng.random(size)
+    lams = rng.random(size)
+    lams *= 0.5
+    return lams
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +331,7 @@ class PremiumValueDistribution:
     def _eval(self, y, **ranges: tuple[float | None, float | None]) -> tuple:
         """Each named kind's branch pair at y, clamped to its (lo, hi) range.
 
+        The domain of the whole of y is checked first. Then each block of
         y is split at the breakpoint once; both sides are gathered and
         scattered by integer index, far cheaper than by a mixed boolean mask.
         """
@@ -322,16 +339,18 @@ class PremiumValueDistribution:
         arr = np.atleast_1d(np.asarray(y, dtype=float))
         if not np.all((arr >= 0.0) & (arr <= PREMIUM_MAX)):
             raise DomainError(f"premium value outside [0, {PREMIUM_MAX}]")
-        below = arr <= self.breakpoint
-        sides = [(idx, arr[idx]) for idx in (np.nonzero(below), np.nonzero(~below))]
-        outs = []
-        for kind, (lo, hi) in ranges.items():
-            out = np.empty_like(arr)
-            for (idx, side), fn in zip(sides, PREMIUM_BRANCHES[self.family][kind]):
-                out[idx] = fn(side, self.p_eps)
-            out = _clamped(out, lo, hi, f"premium {kind}")
-            outs.append(float(out[0]) if scalar else out)
-        return tuple(outs)
+        flat = arr.reshape(-1)
+        outs = [np.empty(arr.shape) for _ in ranges]
+        for block in blocks(flat.size):
+            part = flat[block]
+            below = part <= self.breakpoint
+            sides = [(idx, part[idx]) for idx in (np.nonzero(below), np.nonzero(~below))]
+            for out, (kind, (lo, hi)) in zip(outs, ranges.items()):
+                view = out.reshape(-1)[block]
+                for (idx, side), fn in zip(sides, PREMIUM_BRANCHES[self.family][kind]):
+                    view[idx] = fn(side, self.p_eps)
+                _clamped(view, lo, hi, f"premium {kind}")
+        return tuple(float(out[0]) if scalar else out for out in outs)
 
     def pdf(self, y):
         """Density f_v(y) of the premium value."""

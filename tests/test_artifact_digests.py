@@ -20,7 +20,9 @@ premium values by 9 prices) pin the quadrature route: Beta(2, 2) across
 premium distribution's branch split is pinned on the paths that
 evaluate it over a population: a uniform deviation, a uniform validation
 at a clearing price in the edge window, and a 17-point Beta(2, 2) sweep
-whose points run in two threads.
+whose points run in two threads. A deviation and a validation per family
+at 140001 draws pin the population kernels across more than two blocks
+of value_model.BLOCK elements.
 """
 
 import hashlib
@@ -83,6 +85,21 @@ RUNS = {
         "sweep", "--family", "beta22", "--p-eps-grid", "0.1:0.9:17", "--n-agents",
         "2000", "--seed", "25", "--workers", "2"
     ],
+    "deviation-uniform-blocks": [
+        "deviation", "--family", "uniform", "--n-opponents", "140001", "--seed", "39"
+    ],
+    "deviation-beta22-blocks": [
+        "deviation", "--family", "beta22", "--p-eps", "0.3",
+        "--deltas=-1,-0.5,-0.01,0.01,0.5,1", "--n-opponents", "140001", "--seed", "40"
+    ],
+    "validate-dist-uniform-blocks": [
+        "validate-dist", "--family", "uniform", "--p-eps", "0.6", "--n-samples",
+        "140001", "--bins", "30", "--seed", "41"
+    ],
+    "validate-dist-beta22-blocks": [
+        "validate-dist", "--family", "beta22", "--p-eps", "0.4", "--n-samples",
+        "140001", "--bins", "30", "--seed", "42"
+    ],
     "validate-dist-uniform-edge": [
         "validate-dist", "--family", "uniform", "--p-eps", "0.9995", "--n-samples",
         "5000", "--bins", "20", "--seed", "24"
@@ -106,12 +123,12 @@ RUNS = {
 }
 
 DIGESTS = {
+    "auction-beta22-edge-blocks.csv":
+        "0ec6651ffb09e29496eb74463fe2a68e88a6e95fefb7b058a7c5e3fc178bccbb",
     "auction-beta22-perfect.csv":
         "15d1b3abcc0b212dd6dbdd70c5fcec67a4ef2892e7abfdcf837f79bf98e167a1",
     "auction-beta22-perfect.json":
         "235a3ce4e003d048a2fea2f450875ce840ae5bae697435eb54cc738645ddb5e5",
-    "auction-beta22-edge-blocks.csv":
-        "0ec6651ffb09e29496eb74463fe2a68e88a6e95fefb7b058a7c5e3fc178bccbb",
     "auction-uniform-blocks.csv":
         "084e9a89e366525dc8415d6f915425329835bc7074f59878b8a6986cdcffcc87",
     "auction-uniform-blocks.json":
@@ -132,24 +149,32 @@ DIGESTS = {
         "1d2bdaa1e8438a52f9ff5b50444e0fd320d2e8458f436d65d77c84ca8fd553c4",
     "crosscheck-uniform.json":
         "f70bad123bf9e5518445f515519e399969a8e68a2d36a4ea2453fc9691b37dd4",
+    "deviation-beta22-blocks.csv":
+        "cdb83bffaab6a457a36c76312dd444c5fc5856a185a23415b7235eed814a5e11",
+    "deviation-beta22-blocks.json":
+        "2d47298cafc804f429759011d88640c34cbceb3f5ab3f1f199f67d602a85107a",
     "deviation-beta22.csv":
         "0b216d8f917eab01802535d5d2a6bebba579f145187233499407e6b539845b8e",
     "deviation-beta22.json":
         "14ade19221dd650fc31f6598354892e60e219170916c3bf6ab095a19f6ecfe93",
+    "deviation-uniform-blocks.csv":
+        "180115802699ed197a062dbede44eb731780714efff250ea019f7189b49bdf63",
+    "deviation-uniform-blocks.json":
+        "beea35a15336a92e04376649a968b2f62df25829f497727954e1f35a56ab4c9a",
     "deviation-uniform.json":
         "8f0407ad3919a69a0b929b3494fba8915ccb88b05c789d3101a304aaaec56135",
     "repeat-uniform-5-rounds-blocks.csv":
         "fa8e3b33433a4332ef0a54a272ed1db8f9734434fa8c70299dc06d012328fd9c",
     "repeat-uniform-blocks.json":
         "a5c610b0b1fe5ad67a151e6c16c315fc07869d0d8403d93b955c3c192e40ff15",
-    "repeat-uniform-perfect.csv":
-        "6c8ea352d98e9fe467d5fa7c791489046741101d9e3ebea27de62e13acfcb61f",
-    "repeat-uniform-perfect.json":
-        "51ab6b1a083e519f8a13fa50cfaa102a025fda1209c6a5af1979d438c95d18da",
     "repeat-uniform-perfect-odd.csv":
         "399c3c7d7b2f54489cb62c74c12397c67267bfa4f80933a0dd2bc953fd632fc3",
     "repeat-uniform-perfect-odd.json":
         "550738617ff4dd5006ee8d8d8452acb72fbfb752c2f93a3cb85f1e99ff05e812",
+    "repeat-uniform-perfect.csv":
+        "6c8ea352d98e9fe467d5fa7c791489046741101d9e3ebea27de62e13acfcb61f",
+    "repeat-uniform-perfect.json":
+        "51ab6b1a083e519f8a13fa50cfaa102a025fda1209c6a5af1979d438c95d18da",
     "reserve-beta22.csv":
         "46e8f6033d4bfa2afd80c59bf120c414e8150d2834413786e0f0cb99d22dfd2b",
     "reserve-beta22.json":
@@ -164,10 +189,18 @@ DIGESTS = {
         "e39f67b46cc87b439367d499d5e94b4f4340158e407c7d788a313299dba17d7d",
     "sweep-uniform.json":
         "fc99cf94f5a248d56a32637becfaf36b4058aa5fd64a7fa393623731f65eff1d",
+    "validate-dist-beta22-blocks.csv":
+        "0fbfdc01aa5febaff04bc680f6a751d69ea6a641670400e1a3189c107c26d85a",
+    "validate-dist-beta22-blocks.json":
+        "c4e4abd32afad4de2e121939ec1b160051f30daafbe66d200004c4fa824d705f",
     "validate-dist-beta22.csv":
         "38822e00c4b942134bd477fc7d9be5e26af447e9ee4159afceef07833489a7e6",
     "validate-dist-beta22.json":
         "c5e53ff21ef237118c3dd2f4fe6310ea3da3df6425051f51f704bff7d41b916e",
+    "validate-dist-uniform-blocks.csv":
+        "d9d360b7727c1f702cf1692ab5870cb69228442097012b5431a334907e29e1f8",
+    "validate-dist-uniform-blocks.json":
+        "f424b0c30b8e65cffa522480db89922a7a42188cdca8f718b7d0d3d6484a49bf",
     "validate-dist-uniform-edge.json":
         "c643b1e5a5d7247746fc1ec5124e0296378fd37a1dc35eba4a056793eb20188f",
 }
