@@ -39,7 +39,9 @@ sweep adds its paired participation uplift and that uplift's standard
 error. The per-agent subcommands keep a nested layout.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical
-failure, 4 I/O failure.
+failure, 4 could not produce the artifact (an I/O error, or out of
+memory). An artifact is written beside its path and moved onto it after
+its last byte, so a run that fails leaves the path as it was.
 """
 
 from __future__ import annotations
@@ -654,25 +656,36 @@ def _emit(
     columns: dict[str, np.ndarray],
     results: dict[str, Any] | None = None,
 ) -> Path:
-    # JSON results are the CSV's columns unless a handler passes its own.
-    with open(spec.out_path, "w", encoding="utf-8", newline="\n") as handle:
-        if spec.fmt == "json":
-            payload = {
-                "tool": "sira",
-                "version": __version__,
-                "config": spec.config_echo,
-                "summary": summary,
-                "results": columns if results is None else results,
-            }
-            handle.writelines(_json_chunks(payload))
-            handle.write("\n")
-        else:
-            handle.write(f"# sira {__version__}\n# config {_compact(spec.config_echo)}\n")
-            for key in sorted(summary):
-                handle.write(f"# {key} ")
-                handle.writelines(_csv_rows({key: np.asarray(summary[key]).reshape(1)}))
-            handle.write(",".join(columns) + "\n")
-            handle.writelines(_csv_rows(columns))
+    # The artifact goes to a new file beside the path, created with the mode
+    # a plain open() gives, and is moved onto the path after its last byte,
+    # so the path only ever holds a complete artifact. On any exception the
+    # new file is removed. JSON results are the CSV's columns unless a
+    # handler passes its own.
+    tmp = spec.out_path.parent / f".{spec.out_path.name}.{os.urandom(4).hex()}.tmp"
+    handle = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            if spec.fmt == "json":
+                payload = {
+                    "tool": "sira",
+                    "version": __version__,
+                    "config": spec.config_echo,
+                    "summary": summary,
+                    "results": columns if results is None else results,
+                }
+                handle.writelines(_json_chunks(payload))
+                handle.write("\n")
+            else:
+                handle.write(f"# sira {__version__}\n# config {_compact(spec.config_echo)}\n")
+                for key in sorted(summary):
+                    handle.write(f"# {key} ")
+                    handle.writelines(_csv_rows({key: np.asarray(summary[key]).reshape(1)}))
+                handle.write(",".join(columns) + "\n")
+                handle.writelines(_csv_rows(columns))
+        os.replace(tmp, spec.out_path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return spec.out_path
 
 
@@ -911,6 +924,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o error writing {spec.out_path}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError:
+        print(f"out of memory: could not produce {spec.out_path}", file=sys.stderr)
         return EXIT_IO
     print(f"wrote {path}")
     return EXIT_OK

@@ -57,31 +57,22 @@ def cap_bid(raw_bid):
     return float(out) if np.ndim(raw_bid) == 0 else out
 
 
-def _equilibrium_bid(family: ValueFamily, v_p, p_eps, cdf_out=None):
-    """Uncapped equilibrium bid at v_p, built block by block into an array
-    of v_p's shape; the premium cdf F_v(v_p) it used goes to cdf_out if given."""
-    p_eps = check_p_eps(p_eps)
-    dist = PremiumValueDistribution(family=family, p_eps=p_eps)
-    v = np.asarray(v_p, dtype=float).reshape(-1)
-    bid = np.empty(np.shape(v_p))
-    for block in blocks(v.size):
-        cdf, integral = dist.cdf_and_integral(v[block])
-        bid.reshape(-1)[block] = p_eps + v[block] * cdf - integral
-        if cdf_out is not None:
-            cdf_out.reshape(-1)[block] = cdf
-    return bid
-
-
-def _bid_and_cdf(family: ValueFamily, v_p, p_eps):
-    """Uncapped equilibrium bid at v_p and the premium cdf F_v(v_p) it used."""
-    cdf = np.empty(np.shape(v_p))
-    return _equilibrium_bid(family, v_p, p_eps, cdf), cdf
+def _block_bid(dist: PremiumValueDistribution, v_p: np.ndarray):
+    """Uncapped equilibrium bid at one block of premium values, and the
+    premium cdf F_v(v_p) it used."""
+    cdf, integral = dist.cdf_and_integral(v_p)
+    return dist.p_eps + v_p * cdf - integral, cdf
 
 
 def sira_bid(family: ValueFamily, v_p, p_eps):
-    """Uncapped equilibrium bid p_eps + v_p F_v(v_p) - integral_0^{v_p} F_v."""
-    bid = _equilibrium_bid(family, v_p, p_eps)
-    return float(bid) if np.ndim(bid) == 0 else bid
+    """Uncapped equilibrium bid p_eps + v_p F_v(v_p) - integral_0^{v_p} F_v,
+    built block by block into an array of v_p's shape."""
+    dist = PremiumValueDistribution(family=family, p_eps=check_p_eps(p_eps))
+    v = np.asarray(v_p, dtype=float).reshape(-1)
+    bid = np.empty(v.size)
+    for block in blocks(v.size):
+        bid[block] = _block_bid(dist, v[block])[0]
+    return float(bid[0]) if np.ndim(v_p) == 0 else bid.reshape(np.shape(v_p))
 
 
 def sira_bid_generic(
@@ -152,8 +143,9 @@ def reserve_decision_arrays(
 ) -> Decision:
     """Evaluate the reserve-threshold strategy for a whole population at once.
 
-    Every agent's bid is exactly the clearing price, and an agent
-    participates when its deployment value strictly exceeds that price.
+    Every agent's bid is exactly the clearing price, below the cap, so
+    raw_bid and bid are one array. An agent participates when its
+    deployment value strictly exceeds that price.
     """
     check_p_eps(p_eps)
     v_d = np.asarray(deployment_value, dtype=float)
@@ -161,7 +153,7 @@ def reserve_decision_arrays(
     utility = v_d - p_eps
     participates = utility > 0.0
     safety = np.where(participates, model.safety_from_bid(p_eps), 0.0)
-    return Decision(bid.copy(), bid, utility, participates, safety)
+    return Decision(bid, bid, utility, participates, safety)
 
 
 def reserve_threshold_bid(
@@ -182,24 +174,30 @@ def sira_decision_arrays(
     family: ValueFamily,
     model: SafetyCostModel,
 ) -> Decision:
-    """Evaluate the SIRA strategy for a whole population at once.
+    """Evaluate the SIRA strategy for a 1-D population, block by block.
 
     The one place where a SIRA decision is built: the equilibrium bid,
-    its cap, the predicted utility, participation and safety. The
-    equilibrium bid never falls below the clearing price, and the cap
-    at 1 lies above it, so a participant bidding below the price is a
-    numerical failure and raises NumericalError.
+    its cap, the predicted utility, participation and safety, each
+    written a block at a time into preallocated columns. The equilibrium
+    bid never falls below the clearing price, and the cap at 1 lies above
+    it, so a participant bidding below the price is a numerical failure
+    and raises NumericalError.
     """
+    dist = PremiumValueDistribution(family=family, p_eps=check_p_eps(p_eps))
     v_d = np.asarray(deployment_value, dtype=float)
     v_p = np.asarray(premium_value, dtype=float)
-    raw, cdf_vals = _bid_and_cdf(family, v_p, p_eps)
-    bid = cap_bid(raw)
-    utility = predicted_utilities(v_d, v_p, bid, cdf_vals)
-    participates = utility > 0.0
-    safety = np.where(participates, model.safety_from_bid(bid), 0.0)
-    if np.any(participates & (bid < p_eps)):
-        raise NumericalError("a participant's bid fell below the clearing price")
-    return Decision(raw, bid, utility, participates, safety)
+    out = Decision(*(np.empty(v_p.shape, dtype) for dtype in (float, float, float, bool, float)))
+    for block in blocks(v_p.size):
+        raw, cdf = _block_bid(dist, v_p[block])
+        out.raw_bid[block] = raw
+        bid = out.bid[block] = cap_bid(raw)
+        utility = out.predicted_utility[block] = predicted_utilities(
+            v_d[block], v_p[block], bid, cdf)
+        participates = out.participates[block] = utility > 0.0
+        out.safety[block] = np.where(participates, model.safety_from_bid(bid), 0.0)
+        if np.any(participates & (bid < dist.p_eps)):
+            raise NumericalError("a participant's bid fell below the clearing price")
+    return out
 
 
 def decide(

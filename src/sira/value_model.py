@@ -331,25 +331,22 @@ class PremiumValueDistribution:
     def _eval(self, y, **ranges: tuple[float | None, float | None]) -> tuple:
         """Each named kind's branch pair at y, clamped to its (lo, hi) range.
 
-        The domain of the whole of y is checked first. Then each block of
-        y is split at the breakpoint once; both sides are gathered and
-        scattered by integer index, far cheaper than by a mixed boolean mask.
+        Evaluates exactly the y it is handed, split at the breakpoint once;
+        both sides are gathered and scattered by integer index, far cheaper
+        than by a mixed boolean mask.
         """
         scalar = np.ndim(y) == 0
         arr = np.atleast_1d(np.asarray(y, dtype=float))
         if not np.all((arr >= 0.0) & (arr <= PREMIUM_MAX)):
             raise DomainError(f"premium value outside [0, {PREMIUM_MAX}]")
-        flat = arr.reshape(-1)
-        outs = [np.empty(arr.shape) for _ in ranges]
-        for block in blocks(flat.size):
-            part = flat[block]
-            below = part <= self.breakpoint
-            sides = [(idx, part[idx]) for idx in (np.nonzero(below), np.nonzero(~below))]
-            for out, (kind, (lo, hi)) in zip(outs, ranges.items()):
-                view = out.reshape(-1)[block]
-                for (idx, side), fn in zip(sides, PREMIUM_BRANCHES[self.family][kind]):
-                    view[idx] = fn(side, self.p_eps)
-                _clamped(view, lo, hi, f"premium {kind}")
+        below = arr <= self.breakpoint
+        sides = [(idx, arr[idx]) for idx in (np.nonzero(below), np.nonzero(~below))]
+        outs = []
+        for kind, (lo, hi) in ranges.items():
+            out = np.empty(arr.shape)
+            for (idx, side), fn in zip(sides, PREMIUM_BRANCHES[self.family][kind]):
+                out[idx] = fn(side, self.p_eps)
+            outs.append(_clamped(out, lo, hi, f"premium {kind}"))
         return tuple(float(out[0]) if scalar else out for out in outs)
 
     def pdf(self, y):

@@ -2,6 +2,8 @@
 formats, exit codes, and byte-level determinism."""
 
 import dataclasses
+import errno
+import itertools
 import json
 import math
 import os
@@ -219,6 +221,115 @@ def test_unwritable_output_exits_io(tmp_path, capsys):
     )
     assert code == cli.EXIT_IO
     assert "i/o error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# An artifact exists only if it is complete
+
+
+def _inject(monkeypatch, fmt, at, error):
+    """Make the writer raise error at the summary, or at the first or a
+    middle block of the per-agent columns; return the count of raises."""
+    raised = itertools.count()
+
+    def fail():
+        next(raised)
+        raise error
+
+    if fmt == "csv":
+        real_rows = cli._csv_rows
+        fail_at = 2 if at == "middle block" else 0
+
+        def rows(columns):
+            # A summary line is a one-column table written before the data.
+            for i, text in enumerate(real_rows(columns)):
+                if (len(columns) == 1) == (at == "summary") and i == fail_at:
+                    fail()
+                yield text
+
+        monkeypatch.setattr(cli, "_csv_rows", rows)
+    elif at == "summary":
+        # The summary is the last part of a JSON artifact but its header.
+        real_compact = cli._compact
+
+        def compact(value):
+            if isinstance(value, str) and value == "summary":
+                fail()
+            return real_compact(value)
+
+        monkeypatch.setattr(cli, "_compact", compact)
+    else:
+        real_floats, calls = cli._json_floats, itertools.count()
+        fail_at = 7 if at == "middle block" else 0
+
+        def floats(x):
+            nonlocal calls
+            if next(calls) == fail_at:
+                calls = itertools.count()  # so that the next run fails at the same block
+                fail()
+            return real_floats(x)
+
+        monkeypatch.setattr(cli, "_json_floats", floats)
+    return raised
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
+                                   MemoryError()], ids=["OSError", "MemoryError"])
+@pytest.mark.parametrize("at", ["first block", "middle block", "summary"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failed_write_leaves_the_path_as_it_was(fmt, at, error, tmp_path, monkeypatch,
+                                                  capsys):
+    # Five blocks of rows in either format.
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 100)
+    monkeypatch.setattr(cli, "_JSON_BLOCK", 100)
+    argv = ["auction", "--n-agents", "500", "--seed", "1", "--format", fmt, "--out"]
+    old, new = tmp_path / f"old.{fmt}", tmp_path / f"new.{fmt}"
+    assert _run([*argv, str(old)]) == cli.EXIT_OK
+    before = old.read_bytes()
+    capsys.readouterr()
+    raised = _inject(monkeypatch, fmt, at, error)
+    assert _run([*argv, str(new)]) == cli.EXIT_IO
+    assert _run([*argv, str(old)]) == cli.EXIT_IO
+    assert next(raised) == 2
+    assert not new.exists()
+    assert old.read_bytes() == before
+    assert [path.name for path in tmp_path.iterdir()] == [old.name]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(("i/o error" if isinstance(error, OSError) else "out of memory") in line
+               for line in err)
+
+
+def test_an_interrupted_write_leaves_the_path_as_it_was(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 100)
+    argv = ["auction", "--n-agents", "500", "--seed", "1", "--out"]
+    out = tmp_path / "a.csv"
+    assert _run([*argv, str(out)]) == cli.EXIT_OK
+    before = out.read_bytes()
+    _inject(monkeypatch, "csv", "middle block", KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        _run([*argv, str(out)])
+    assert out.read_bytes() == before
+    assert [path.name for path in tmp_path.iterdir()] == [out.name]
+
+
+def test_an_engine_out_of_memory_exits_io(tmp_path, monkeypatch, capsys):
+    def boom(_config):
+        raise MemoryError
+
+    monkeypatch.setattr(mechanism, "run_sira", boom)
+    out = tmp_path / "a.csv"
+    assert _run(["auction", "--seed", "1", "--out", str(out)]) == cli.EXIT_IO
+    assert capsys.readouterr().err == f"out of memory: could not produce {out}\n"
+    assert not out.exists()
+
+
+def test_an_artifact_has_the_mode_of_a_plain_open(tmp_path):
+    with open(tmp_path / "plain", "w"):
+        pass
+    out = tmp_path / "a.csv"
+    assert _run(["auction", "--n-agents", "10", "--seed", "1", "--out", str(out)]) == cli.EXIT_OK
+    assert out.stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
 def test_numerical_failure_exits_numeric(tmp_path, monkeypatch, capsys):

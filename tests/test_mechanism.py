@@ -372,13 +372,13 @@ def test_round_with_fewer_than_two_participants_awards_nothing(pairing, total, m
 def test_participant_bid_below_the_price_is_a_numerical_error(monkeypatch):
     # The decision kernel itself refuses a participant bidding below the
     # price, so every path that reaches it does.
-    real = strategy._bid_and_cdf
+    real = strategy._block_bid
 
-    def lowered(family, v_p, p_eps):
-        raw, cdf = real(family, v_p, p_eps)
+    def lowered(dist, v_p):
+        raw, cdf = real(dist, v_p)
         return raw - 0.25, cdf
 
-    monkeypatch.setattr(strategy, "_bid_and_cdf", lowered)
+    monkeypatch.setattr(strategy, "_block_bid", lowered)
     config = _config(n_agents=100)
     with pytest.raises(NumericalError, match="below the clearing price"):
         run_sira(config)

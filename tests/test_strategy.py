@@ -287,6 +287,7 @@ def test_reserve_arrays_match_scalar_view():
     model = SafetyCostModel(gamma=2.0)
     v_d = np.array([0.0, 0.3, 0.5, 0.7, 1.0])
     arrays = reserve_decision_arrays(v_d, 0.5, model)
+    assert arrays.raw_bid is arrays.bid  # the price is never capped: one array
     for i, v in enumerate(v_d.tolist()):
         scalar = reserve_threshold_bid(v, 0.5, model)
         assert scalar == Decision(*(column[i].item() for column in arrays))
