@@ -5,9 +5,9 @@ price for a mandated safety level. SIRA (safety-incentivized regulatory
 auction) reuses the same clearing price as the floor of an all-pay
 contest for a premium award, which pulls bids, and therefore purchased
 safety, above the floor. The package provides the value model and the
-derived premium-value distribution, exact equilibrium bidding, auction
-engines (single-shot and repeated), and an experiment harness with a
-command-line interface.
+derived premium-value distribution, exact equilibrium bidding, the two
+auction engines (SIRA's over one or more contest rounds), and an
+experiment harness with a command-line interface.
 """
 
 from .errors import ConfigError, DomainError, NumericalError, SiraError

@@ -694,15 +694,6 @@ def _emit(
 # takes its value, so every handler passes its params straight through.
 
 
-# The engine of each per-agent subcommand, looked up by name in sira.mechanism
-# when the command runs, so that a wrapper installed there (tracing) is called.
-_ENGINES = {
-    "auction": "run_sira",
-    "reserve": "run_reserve_threshold",
-    "repeat": "run_repeated_sira",
-}
-
-
 _AGENT_FIELDS = (
     "total_value",
     "scaling_factor",
@@ -743,7 +734,10 @@ def _report_output(report: AuctionReport) -> tuple[dict, dict, dict]:
 
 
 def _handle_agents(spec: RunSpec) -> Path:
-    engine = getattr(mechanism, _ENGINES[spec.subcommand])
+    # Looked up in sira.mechanism when the command runs, so that a wrapper
+    # installed there (tracing) is called.
+    reserve = spec.subcommand == "reserve"
+    engine = mechanism.run_reserve_threshold if reserve else mechanism.run_sira
     return _emit(spec, *_report_output(engine(AuctionConfig(**spec.params))))
 
 

@@ -2,21 +2,20 @@
 
 Both engines draw one population of agent valuations and evaluate the
 corresponding strategy. Reserve thresholding grants deployment to every
-participant at the clearing price and awards no premium. The SIRA
-engine additionally runs the all-pay premium contest: accepted agents
-are paired, the higher bid in a comparison wins the premium, ties fall
-to a fair coin, and every submitted bid is sunk whether or not it wins.
-A pairing mode only draws each participant's opponent and coin; every
-round is then one beats comparison over all participants.
-Every participant is accepted: the SIRA decision kernel raises
-NumericalError if a participant's bid falls below the clearing price.
+participant at the clearing price and runs no contest. The SIRA engine
+additionally runs config.rounds rounds of the all-pay premium contest,
+paired as config.pairing says: the higher bid in a comparison wins the
+premium, ties fall to a fair coin, and every submitted bid is sunk
+whether or not it wins. A pairing mode only draws each participant's
+opponent and coin; every round is then one beats comparison over all
+participants. Every participant is accepted: the SIRA decision kernel
+raises NumericalError if a participant's bid falls below the price.
 
-Payments are sunk once. In the repeated engine the bid is unchanged
-across rounds and the regulator prices cumulative safety, so no
-incremental payment is due after round one; deployment value is granted
-in round 0 only, while the premium can be won in every round. Both
-engines end with the per-round wins, from which AuctionReport derives
-every value and utility column.
+Payments are sunk once. The bid is unchanged across rounds and the
+regulator prices cumulative safety, so no incremental payment is due
+after round one; deployment value is granted in round 0 only, while the
+premium can be won in every round. Both engines end with the per-round
+wins, from which AuctionReport derives every value and utility column.
 
 Randomness is split into named substreams of the config seed (see
 seeding), so reports are reproducible and independent of scheduling.
@@ -55,7 +54,11 @@ class PairingMode(Enum):
 
 @dataclass(frozen=True)
 class AuctionConfig:
-    """Immutable description of one simulated auction run."""
+    """Immutable description of one simulated auction run.
+
+    rounds and pairing drive the SIRA contest; reserve thresholding runs
+    no contest and ignores both.
+    """
 
     n_agents: int
     p_eps: float
@@ -203,7 +206,8 @@ class AuctionReport:
     @property
     def mean_bid(self) -> float:
         """Mean bid of the participants; nan when nobody participates."""
-        return float(self.bid[self.participates].mean()) if self.participates.any() else np.nan
+        index = np.flatnonzero(self.participates)
+        return float(self.bid[index].mean()) if index.size else np.nan
 
     @property
     def mean_realized_utility(self) -> float:
@@ -231,8 +235,7 @@ def run_reserve_threshold(config: AuctionConfig) -> AuctionReport:
     substream as the SIRA engine, so runs on an identical config share
     their population draw.
     """
-    total, lam = _draw_population(config)
-    return _reserve_from_population(config, total, lam)
+    return _reserve_from_population(config, *_draw_population(config))
 
 
 def _reserve_from_population(
@@ -244,7 +247,7 @@ def _reserve_from_population(
 
 
 def _sira_from_population(
-    config: AuctionConfig, total: np.ndarray, lam: np.ndarray, rounds: int
+    config: AuctionConfig, total: np.ndarray, lam: np.ndarray
 ) -> AuctionReport:
     v_p = lam * total
     decision = sira_decision_arrays(total - v_p, v_p, config.p_eps, config.family, config.model)
@@ -252,9 +255,9 @@ def _sira_from_population(
     accepted_bids = decision.bid[accepted_index]
     m = accepted_index.size
     draw = _draw_perfect if config.pairing is PairingMode.PERFECT_MATCHING else _draw_independent
-    won_by_round = np.zeros((rounds, total.size), dtype=bool)
+    won_by_round = np.zeros((config.rounds, total.size), dtype=bool)
     if m >= 2:  # with fewer than two participants nobody is compared
-        for r in range(rounds):
+        for r in range(config.rounds):
             opp_rng = substream(config.seed, STREAM_OPPONENTS, r)
             opponent, coin = draw(m, opp_rng, substream(config.seed, STREAM_TIES, r))
             won_by_round[r, accepted_index] = beats(accepted_bids, accepted_bids[opponent], coin)
@@ -262,20 +265,18 @@ def _sira_from_population(
 
 
 def run_sira(config: AuctionConfig) -> AuctionReport:
-    """Simulate one SIRA round on a fresh population.
+    """Simulate config.rounds SIRA rounds, bids held fixed, on a fresh population.
 
-    Always runs a single round; config.rounds only drives the repeated
-    engine.
+    Round r draws opponents and coins from substreams indexed by r, so a
+    run's first rounds are those of a shorter run on the same seed.
     """
-    total, lam = _draw_population(config)
-    return _sira_from_population(config, total, lam, rounds=1)
+    return _sira_from_population(config, *_draw_population(config))
 
 
 def run_repeated_sira(config: AuctionConfig) -> AuctionReport:
-    """Simulate config.rounds SIRA rounds with bids held fixed.
-
-    With rounds = 1 this reproduces run_sira bit for bit on the same
-    seed: the population, pairing, and tie substreams coincide.
+    """run_sira. Nothing in sira calls it: bench/spans.py TRACED names it,
+    tier-1's tracing test fails on a traced name that is not bound, and
+    ROADMAP item 1 step 1 removes it with that list. Not an alias: tracing
+    patches every name bound to a function, so it would wrap run_sira twice.
     """
-    total, lam = _draw_population(config)
-    return _sira_from_population(config, total, lam, rounds=config.rounds)
+    return run_sira(config)

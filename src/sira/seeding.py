@@ -66,7 +66,10 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def child_seed(seed: int, *key: int) -> int:
-    """Derive a 64-bit child seed from a substream key."""
+    """Derive a 64-bit child seed from a substream key. Nothing in sira calls
+    it: bench/spans.py TRACED names it, tier-1's tracing test fails on a traced
+    name that is not bound, and ROADMAP item 1 step 1 removes it with that list.
+    """
     check_seed(seed)
     seq = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
     return int(seq.generate_state(1, dtype=np.uint64)[0])

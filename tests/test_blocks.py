@@ -25,7 +25,7 @@ from sira.experiments import (
     threshold_sweep,
     validate_product_distribution,
 )
-from sira.mechanism import AuctionConfig, run_repeated_sira, run_reserve_threshold, run_sira
+from sira.mechanism import AuctionConfig, run_reserve_threshold, run_sira
 from sira.seeding import substream
 from sira.strategy import sira_bid, sira_decision_arrays
 from sira.value_model import (
@@ -181,7 +181,7 @@ N_TWO_BLOCKS = 2 * value_model.BLOCK + 5
 PATHS = {
     "auction": lambda n: run_sira(AuctionConfig(n, 0.5, ValueFamily.UNIFORM, seed=1)),
     "reserve": lambda n: run_reserve_threshold(AuctionConfig(n, 0.5, ValueFamily.UNIFORM, seed=1)),
-    "repeat": lambda n: run_repeated_sira(
+    "repeat": lambda n: run_sira(
         AuctionConfig(n, 0.5, ValueFamily.BETA22, seed=1, rounds=2)),
     "sweep": lambda n: threshold_sweep(ValueFamily.BETA22, [0.3, 0.6], n, seed=1),
     "deviation": lambda n: deviation_sweep(ValueFamily.UNIFORM, P_EPS, 0.5, 0.25, [0.1], n, seed=1),

@@ -915,6 +915,26 @@ def test_config_echo_replays_to_the_same_bytes(name, fmt, tmp_path):
     assert first.read_bytes() == replay.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("pairing", ["independent", "perfect"])
+def test_auction_is_repeat_with_one_round(pairing, fmt, tmp_path):
+    # Both run run_sira; an auction config carries rounds = 1. Only the
+    # config echo tells the artifacts apart. 70001 agents cross a block.
+    args = ["--pairing", pairing, "--n-agents", "70001", "--p-eps", "0.5", "--seed", "19",
+            "--format", fmt]
+    auction, repeat = tmp_path / f"auction.{fmt}", tmp_path / f"repeat.{fmt}"
+    assert _run(["auction", *args, "--out", str(auction)]) == cli.EXIT_OK
+    assert _run(["repeat", "--rounds", "1", *args, "--out", str(repeat)]) == cli.EXIT_OK
+    if fmt == "csv":
+        assert _without_config_echo(auction) == _without_config_echo(repeat)
+    else:
+        a, r = (json.loads(path.read_text(encoding="utf-8"), parse_float=str)
+                for path in (auction, repeat))
+        assert a.pop("config")["subcommand"] == "auction"
+        assert r.pop("config")["rounds"] == 1
+        assert a == r
+
+
 # ---------------------------------------------------------------------------
 # Option audit: every option of every subcommand reaches the artifact.
 

@@ -22,7 +22,6 @@ from sira.mechanism import (
     _reserve_from_population,
     _sira_from_population,
     beats,
-    run_repeated_sira,
     run_reserve_threshold,
     run_sira,
 )
@@ -345,7 +344,7 @@ def test_sira_single_accepted_agent_wins_nothing():
     config = _config(n_agents=2)
     total = np.array([0.9, 0.1])
     lam = np.zeros(2)
-    report = _sira_from_population(config, total, lam, rounds=1)
+    report = _sira_from_population(config, total, lam)
     np.testing.assert_array_equal(report.accepted, [True, False])
     assert report.premium_award_count == 0
     # lambda = 0 means the bid is exactly the clearing price.
@@ -363,7 +362,7 @@ def test_round_with_fewer_than_two_participants_awards_nothing(pairing, total, m
     monkeypatch.setattr(mechanism, "_draw_independent", refuse)
     monkeypatch.setattr(mechanism, "_draw_perfect", refuse)
     config = _config(n_agents=3, rounds=3, pairing=pairing)
-    report = _sira_from_population(config, np.array(total), np.zeros(3), rounds=3)
+    report = _sira_from_population(config, np.array(total), np.zeros(3))
     assert int(report.participates.sum()) == (total[0] > 0.5)
     assert report.won_by_round.shape == (3, 3)
     assert report.premium_award_count == 0
@@ -383,7 +382,7 @@ def test_participant_bid_below_the_price_is_a_numerical_error(monkeypatch):
     with pytest.raises(NumericalError, match="below the clearing price"):
         run_sira(config)
     with pytest.raises(NumericalError, match="below the clearing price"):
-        run_repeated_sira(dataclasses.replace(config, rounds=2))
+        run_sira(dataclasses.replace(config, rounds=2))
     with pytest.raises(NumericalError, match="below the clearing price"):
         threshold_sweep(config.family, [config.p_eps], n_agents=100, seed=1)
     with pytest.raises(NumericalError, match="below the clearing price"):
@@ -410,21 +409,23 @@ def test_sira_safety_floor():
 
 
 # ---------------------------------------------------------------------------
-# Repeated auction
+# Repeated rounds
 
 
-def test_repeated_single_round_reproduces_one_shot():
-    config = _config(n_agents=3000, rounds=1)
+@pytest.mark.parametrize("pairing", list(PairingMode))
+@pytest.mark.parametrize("rounds", [1, 3, 5])
+def test_run_sira_runs_the_rounds_its_config_asks_for(rounds, pairing):
+    config = _config(n_agents=3000, pairing=pairing)
     once = run_sira(config)
-    repeated = run_repeated_sira(config)
-    np.testing.assert_array_equal(once.realized_utility, repeated.realized_utility)
-    np.testing.assert_array_equal(once.won_by_round, repeated.won_by_round)
-    np.testing.assert_array_equal(once.value_by_round, repeated.value_by_round)
+    report = run_sira(dataclasses.replace(config, rounds=rounds))
+    assert report.rounds == rounds
+    np.testing.assert_array_equal(report.won_by_round[0], once.won_by_round[0])
+    np.testing.assert_array_equal(report.bid, once.bid)
 
 
 def test_repeated_deployment_granted_once():
     config = _config(n_agents=5000, rounds=3)
-    report = run_repeated_sira(config)
+    report = run_sira(config)
     assert report.rounds == 3
     premium = report.premium_value
     # After round one an accepted agent's per-round gain is either the
@@ -448,7 +449,7 @@ def test_repeated_deployment_granted_once():
 
 def test_repeated_cumulative_utility_tracks_rounds():
     config = _config(n_agents=2000, rounds=4)
-    report = run_repeated_sira(config)
+    report = run_sira(config)
     rows = report.value_by_round
     assert rows.shape == (4, 2000)
     # Value is granted, never taken back, so running utility never decreases.
@@ -460,7 +461,7 @@ def test_repeated_cumulative_utility_tracks_rounds():
 
 def test_repeated_rounds_use_distinct_pairing_streams():
     config = _config(n_agents=5000, rounds=2)
-    report = run_repeated_sira(config)
+    report = run_sira(config)
     assert not np.array_equal(report.won_by_round[0], report.won_by_round[1])
 
 
@@ -500,7 +501,7 @@ def test_participants_win_at_the_rate_their_bid_assumes(family, p_eps):
 )
 def test_repeated_participants_realize_their_predicted_utility():
     # z +307 at R = 3.
-    report = run_repeated_sira(_config(n_agents=200_000, p_eps=0.3, seed=5, rounds=3))
+    report = run_sira(_config(n_agents=200_000, p_eps=0.3, seed=5, rounds=3))
     idx = np.flatnonzero(report.participates)
     _within_3_se(report.realized_utility[idx] - report.predicted_utility[idx])
 
@@ -534,11 +535,15 @@ def _assert_same_floats(actual, expected):
     np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
-def _assert_derived_fields_recount(report):
+def _assert_derived_fields_recount(report, model):
     total, lam = report.total_value, report.scaling_factor
     participates, bid, won_by_round = report.participates, report.bid, report.won_by_round
     n = total.size
     assert report.n_agents == n and report.rounds == won_by_round.shape[0]
+    # A participant buys the safety its bid pays for; nobody else buys any.
+    safety = np.zeros(n)
+    safety[participates] = model.safety_from_bid(bid[participates])
+    _assert_same_floats(report.safety, safety)
     premium = lam * total
     deployment = total - premium
     _assert_same_floats(report.premium_value, premium)
@@ -571,22 +576,23 @@ def _assert_derived_fields_recount(report):
     family=st.sampled_from(ValueFamily),
     pairing=st.sampled_from(PairingMode),
     rounds=st.integers(1, 4),
+    gamma=st.floats(1e-3, 1e3),
     p_eps=st.floats(1e-6, 1.0 - 1e-6),
     n_agents=st.integers(2, 300),
     seed=st.integers(0, 2**64 - 1),
 )
 @example(family=ValueFamily.UNIFORM, pairing=PairingMode.PERFECT_MATCHING, rounds=3,
-         p_eps=1e-6, n_agents=299, seed=1)
+         gamma=1.0, p_eps=1e-6, n_agents=299, seed=1)
 @example(family=ValueFamily.BETA22, pairing=PairingMode.INDEPENDENT_OPPONENT, rounds=4,
-         p_eps=1.0 - 1e-6, n_agents=300, seed=2)
+         gamma=1e3, p_eps=1.0 - 1e-6, n_agents=300, seed=2)
 def test_report_fields_recount_from_draw_decisions_and_wins(
-    family, pairing, rounds, p_eps, n_agents, seed
+    family, pairing, rounds, gamma, p_eps, n_agents, seed
 ):
     config = AuctionConfig(n_agents=n_agents, p_eps=p_eps, family=family, seed=seed,
-                           rounds=rounds, pairing=pairing)
-    sira = run_repeated_sira(config)
+                           gamma=gamma, rounds=rounds, pairing=pairing)
+    sira = run_sira(config)
     assert sira.mechanism == SIRA and sira.rounds == rounds
-    _assert_derived_fields_recount(sira)
+    _assert_derived_fields_recount(sira, config.model)
 
     reserve = run_reserve_threshold(config)
     assert reserve.mechanism == RESERVE_THRESHOLD
@@ -595,4 +601,4 @@ def test_report_fields_recount_from_draw_decisions_and_wins(
         reserve.value_by_round[0],
         np.where(reserve.participates, reserve.deployment_value, 0.0),
     )
-    _assert_derived_fields_recount(reserve)
+    _assert_derived_fields_recount(reserve, config.model)
