@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .mechanism import beats
 from .seeding import STREAM_EXPERIMENT, check_count, substream
 from .strategy import (
@@ -41,7 +41,6 @@ from .value_model import (
     SafetyCostModel,
     ValueFamily,
     blocks,
-    sample_total_values,
     sample_valuations,
 )
 
@@ -69,25 +68,6 @@ def _counted_mean_se(values, counts) -> tuple[float, float]:
     ref = values[np.argmax(counts)]
     mean = ref - np.dot(counts, ref - values) / n
     return float(mean), float(np.sqrt(np.dot(counts, (values - mean) ** 2) / (n - 1) / n))
-
-
-def _equilibrium_bids(
-    family: ValueFamily, p_eps: float, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw participants' valuations and return their equilibrium bids.
-
-    Totals are conditioned on [p_eps, 1]: only agents whose value
-    clears the threshold ever enter a comparison, and the premium-value
-    distribution is defined over exactly this population. v_p = lambda V
-    is formed in the lambda buffer, and at most two full-size arrays are
-    held at once.
-    """
-    totals, v_p = sample_valuations(family, rng, size, lower=p_eps)
-    v_p *= totals
-    del totals
-    bids = sira_bid(family, v_p, p_eps)
-    del v_p
-    return cap_bid(bids)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +127,8 @@ def deviation_sweep(
         raise DomainError("deviation fractions must be finite and lie in [-1, 1]")
 
     pool_rng = substream(seed, STREAM_EXPERIMENT, _EXP_DEVIATION, 0)
-    opp_bids = _equilibrium_bids(family, p_eps, n_opponents, pool_rng)
+    dist = PremiumValueDistribution(family=family, p_eps=p_eps)
+    opp_bids = cap_bid(sira_bid(family, dist.sample(pool_rng, n_opponents), p_eps))
     tie_rng = substream(seed, STREAM_EXPERIMENT, _EXP_DEVIATION, 1)
     coins = tie_rng.random(n_opponents) < 0.5
 
@@ -313,10 +294,11 @@ def validate_product_distribution(
 ) -> DistributionValidation:
     """Monte Carlo check of the derived premium-value distribution.
 
-    Checks n_samples and bins, then draws scaling factors against totals
-    conditioned on [p_eps, 1], bins the products, and reports sup errors of the histogram density
-    (at bin centers) and empirical cdf (at right edges) against the
-    closed forms, plus the exact Kolmogorov-Smirnov distance. The
+    Checks n_samples and bins, then draws the premium values through
+    the law's own sampler, bins them, and reports sup errors of the
+    histogram density (at bin centers) and empirical cdf (at right
+    edges) against the closed forms, evaluated a block of bins at a
+    time, plus the exact Kolmogorov-Smirnov distance. The
     density comparison skips the bins adjacent to the breakpoint
     p_eps / 2, where a histogram is biased by the kink; the cdf
     comparison uses every bin.
@@ -325,18 +307,18 @@ def validate_product_distribution(
     check_count("n_samples", n_samples, 2)
     check_count("bins", bins, 10)
     rng = substream(seed, STREAM_EXPERIMENT, _EXP_VALIDATE, 0)
-    totals, products = sample_valuations(family, rng, n_samples, lower=p_eps)
-    products *= totals
-    del totals
+    dist = PremiumValueDistribution(family=family, p_eps=p_eps)
+    products = dist.sample(rng, n_samples)
 
     counts, edges = np.histogram(products, bins=bins, range=(0.0, PREMIUM_MAX))
     width = PREMIUM_MAX / bins
     density = counts / (n_samples * width)
     cumulative = np.cumsum(counts) / n_samples
     centers = 0.5 * (edges[:-1] + edges[1:])
-    dist = PremiumValueDistribution(family=family, p_eps=p_eps)
-    analytic_density = dist.pdf(centers)
-    analytic_cdf = dist.cdf(edges[1:])
+    analytic_density, analytic_cdf = np.empty(bins), np.empty(bins)
+    for block in blocks(bins):
+        analytic_density[block] = dist.pdf(centers[block])
+        analytic_cdf[block] = dist.cdf(edges[1:][block])
     interior = np.abs(centers - dist.breakpoint) > width
     pdf_sup = float(np.max(np.abs(density - analytic_density)[interior]))
     cdf_sup = float(np.max(np.abs(cumulative - analytic_cdf)))
@@ -415,42 +397,6 @@ class EquilibriumCrosscheck:
         return self.gap / self.gap_se
 
 
-def _bucket_agents(
-    dist: PremiumValueDistribution, lo: float, hi: float, size: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Total and premium values of participants whose premium lies in [lo, hi].
-
-    Given V, the premium is in the bucket for lambda in an interval of
-    width w(V) = (min(hi, V/2) - lo) / V, positive only above 2 lo. So V
-    is drawn on [v_min, 1], accepted with w(V) / w_max, and the premium
-    drawn uniformly on [lo, min(hi, V/2)], that is lambda on its interval
-    (Devroye, Non-Uniform Random Variate Generation, 1986, II.3).
-    """
-    bucket_mass = float(dist.cdf(hi) - dist.cdf(lo))
-    if bucket_mass <= 0.0:
-        raise DomainError("bucket has no probability mass")
-    v_min = max(dist.p_eps, 2.0 * lo)
-    w_max = (hi - lo) / max(2.0 * hi, v_min)
-    total_blocks: list[np.ndarray] = []
-    premium_blocks: list[np.ndarray] = []
-    have = 0
-    for _ in range(10_000):
-        if have >= size:
-            break
-        # Bounded blocks keep memory flat; acceptance is >= bucket_mass / (2 w_max).
-        need = 1.1 * (size - have) * 2.0 * w_max / bucket_mass
-        t = sample_total_values(dist.family, rng, int(min(max(need, 10_000), 2_000_000)), v_min)
-        top = np.minimum(hi, 0.5 * t)
-        keep = np.flatnonzero(rng.random(t.size) * w_max * t < top - lo)
-        t, top = t[keep], top[keep]
-        total_blocks.append(t)
-        premium_blocks.append(top - rng.random(t.size) * (top - lo))
-        have += t.size
-    else:
-        raise NumericalError("bucket sampling failed to fill")
-    return np.concatenate(total_blocks)[:size], np.concatenate(premium_blocks)[:size]
-
-
 def equilibrium_crosscheck(
     family: ValueFamily,
     p_eps: float,
@@ -478,11 +424,11 @@ def equilibrium_crosscheck(
         raise DomainError(f"bucket [{lo}, {hi}] outside [0, {PREMIUM_MAX}]")
 
     pool_rng = substream(seed, STREAM_EXPERIMENT, _EXP_EQ_CHECK, 0)
-    opp_bids = _equilibrium_bids(family, p_eps, n_pairings, pool_rng)
+    dist = PremiumValueDistribution(family=family, p_eps=p_eps)
+    opp_bids = cap_bid(sira_bid(family, dist.sample(pool_rng, n_pairings), p_eps))
 
     probe_rng = substream(seed, STREAM_EXPERIMENT, _EXP_EQ_CHECK, 1)
-    dist = PremiumValueDistribution(family=family, p_eps=p_eps)
-    totals, premiums = _bucket_agents(dist, lo, hi, n_pairings, probe_rng)
+    totals, premiums = dist.sample_bucket(probe_rng, n_pairings, lo, hi)
     deployments = totals - premiums
     decision = sira_decision_arrays(deployments, premiums, p_eps, family, SafetyCostModel())
 

@@ -80,19 +80,23 @@ def sira_bid_generic(
 ):
     """Equilibrium bid from an arbitrary premium-value cdf.
 
-    Evaluates the defining formula at every v_p at once, with the running
+    Evaluates the defining formula at every v_p, with the running
     integral of the cdf computed by adaptive Simpson quadrature, splitting
-    panels at the distribution breakpoint p_eps / 2. premium_cdf is called
-    on arrays; a v_p with ndim 0 returns a float.
+    panels at the distribution breakpoint p_eps / 2, and the cdf at v_p
+    taken a block at a time. premium_cdf is called on arrays; a v_p with
+    ndim 0 returns a float.
     """
     p_eps = check_p_eps(p_eps)
     scalar = np.ndim(v_p) == 0
     v = np.atleast_1d(np.asarray(v_p, dtype=float))
     if not np.all((v >= 0.0) & (v <= PREMIUM_MAX)):
         raise DomainError(f"premium value outside [0, {PREMIUM_MAX}]")
-    integral = adaptive_simpson(premium_cdf, 0.0, v, breakpoints=(p_eps / 2.0,))
-    bid = p_eps + v * premium_cdf(v) - integral
-    return float(bid[0]) if scalar else bid
+    flat_v = v.reshape(-1)
+    # Each block of bid holds the running integral until the bid replaces it.
+    bid = adaptive_simpson(premium_cdf, 0.0, flat_v, breakpoints=(p_eps / 2.0,))
+    for block in blocks(bid.size):
+        bid[block] = p_eps + flat_v[block] * premium_cdf(flat_v[block]) - bid[block]
+    return float(bid[0]) if scalar else bid.reshape(v.shape)
 
 
 def predicted_utilities(v_d, v_p, bid, cdf_at_v_p):

@@ -12,7 +12,8 @@ conditioning the product v_p = lambda * V has a piecewise density on
 the breakpoint can be reached from every admissible V while products
 above it constrain V from below. Closed forms for the density, the
 distribution function, and its running integral are implemented per
-family, each as an explicit pair of branch functions.
+family, each as an explicit pair of branch functions; the class that
+evaluates them also draws the population they describe.
 """
 
 from __future__ import annotations
@@ -312,7 +313,8 @@ class PremiumValueDistribution:
 
     V follows the family conditioned on [p_eps, 1] and lambda is uniform
     on [0, 1/2]. Every evaluator is piecewise with the single
-    breakpoint p_eps / 2 and accepts scalars or arrays on [0, 1/2].
+    breakpoint p_eps / 2 and accepts scalars or arrays on [0, 1/2]. The
+    samplers draw the participants whose premium values the law describes.
     """
 
     family: ValueFamily
@@ -364,3 +366,47 @@ class PremiumValueDistribution:
     def cdf_and_integral(self, y):
         """F_v(y) and its running integral, from one split of y."""
         return self._eval(y, cdf=(0.0, 1.0), cdf_integral=(0.0, None))
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Premium values lambda V of size participants, V conditioned on
+        [p_eps, 1]. The product is formed in the lambda buffer and the
+        totals are not kept, so at most two full-size arrays are held."""
+        totals, v_p = sample_valuations(self.family, rng, size, lower=self.p_eps)
+        v_p *= totals
+        return v_p
+
+    def sample_bucket(
+        self, rng: np.random.Generator, size: int, lo: float, hi: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Total and premium values of participants whose premium lies in [lo, hi].
+
+        Given V, the premium is in the bucket for lambda in an interval of
+        width w(V) = (min(hi, V/2) - lo) / V, positive only above 2 lo. So V
+        is drawn on [v_min, 1], accepted with w(V) / w_max, and the premium
+        drawn uniformly on [lo, min(hi, V/2)], that is lambda on its interval
+        (Devroye, Non-Uniform Random Variate Generation, 1986, II.3).
+        """
+        bucket_mass = float(self.cdf(hi) - self.cdf(lo))
+        if bucket_mass <= 0.0:
+            raise DomainError("bucket has no probability mass")
+        v_min = max(self.p_eps, 2.0 * lo)
+        w_max = (hi - lo) / max(2.0 * hi, v_min)
+        total_blocks: list[np.ndarray] = []
+        premium_blocks: list[np.ndarray] = []
+        have = 0
+        for _ in range(10_000):
+            if have >= size:
+                break
+            # Bounded blocks keep memory flat; acceptance is >= bucket_mass / (2 w_max).
+            need = 1.1 * (size - have) * 2.0 * w_max / bucket_mass
+            chunk = int(min(max(need, 10_000), 2_000_000))
+            t = sample_total_values(self.family, rng, chunk, v_min)
+            top = np.minimum(hi, 0.5 * t)
+            keep = np.flatnonzero(rng.random(t.size) * w_max * t < top - lo)
+            t, top = t[keep], top[keep]
+            total_blocks.append(t)
+            premium_blocks.append(top - rng.random(t.size) * (top - lo))
+            have += t.size
+        else:
+            raise NumericalError("bucket sampling failed to fill")
+        return np.concatenate(total_blocks)[:size], np.concatenate(premium_blocks)[:size]

@@ -3,7 +3,8 @@ errors of a blocked evaluation, the largest input the premium evaluators
 receive, and the memory the 1e6-element kernels hold.
 
 Blocks of value_model.BLOCK elements are cut in one place, the population
-kernels: beta22_ppf, sira_bid, sira_decision_arrays and the KS loop of
+kernels: beta22_ppf, sira_bid, sira_bid_generic's cdf at the grid,
+sira_decision_arrays, and the bins and KS loop of
 validate_product_distribution. The premium evaluators evaluate exactly
 the block they are handed. Patching BLOCK to a few elements makes small
 inputs cross block boundaries; every result must then equal the
@@ -20,6 +21,7 @@ import pytest
 from sira import value_model
 from sira.errors import DomainError, NumericalError
 from sira.experiments import (
+    closed_form_vs_quadrature,
     deviation_sweep,
     equilibrium_crosscheck,
     threshold_sweep,
@@ -27,7 +29,7 @@ from sira.experiments import (
 )
 from sira.mechanism import AuctionConfig, run_reserve_threshold, run_sira
 from sira.seeding import substream
-from sira.strategy import sira_bid, sira_decision_arrays
+from sira.strategy import sira_bid, sira_bid_generic, sira_decision_arrays
 from sira.value_model import (
     PREMIUM_BRANCHES,
     PremiumValueDistribution,
@@ -79,6 +81,8 @@ def _population(size, seed=2):
 # (family, deployment values, premium values).
 KERNELS = {
     "sira_bid": lambda family, v_d, v_p: sira_bid(family, v_p, P_EPS),
+    "sira_bid_generic": lambda family, v_d, v_p: sira_bid_generic(
+        PremiumValueDistribution(family, P_EPS).cdf, v_p, P_EPS),
     "sira_decision_arrays": lambda family, v_d, v_p: sira_decision_arrays(
         v_d, v_p, P_EPS, family, SafetyCostModel(2.0)),
 }
@@ -187,6 +191,10 @@ PATHS = {
     "deviation": lambda n: deviation_sweep(ValueFamily.UNIFORM, P_EPS, 0.5, 0.25, [0.1], n, seed=1),
     "validate-dist": lambda n: validate_product_distribution(
         ValueFamily.BETA22, P_EPS, n, 40, seed=1),
+    "validate-dist-bins": lambda n: validate_product_distribution(
+        ValueFamily.BETA22, P_EPS, 1000, n, seed=1),
+    "crosscheck": lambda n: closed_form_vs_quadrature(
+        ValueFamily.UNIFORM, np.linspace(0.0, 0.5, n), [P_EPS]),
     "equilibrium-crosscheck": lambda n: equilibrium_crosscheck(
         ValueFamily.UNIFORM, P_EPS, 0.1, 0.02, n, seed=1),
 }
@@ -232,16 +240,17 @@ def test_a_million_agent_decision_holds_at_most_8_mib_beyond_its_columns(family)
     assert peak - retained <= 8 * 2**20, (peak - start, retained - start)
 
 
-# At most four float64 arrays of n elements: the prior kernels held about
+# Under three float64 arrays of n elements: the prior kernels held about
 # eight (60-68 MiB at 1e6), the blocked ones hold two and a block's
-# temporaries (15-21 MiB).
-BYTES_PER_DRAW = 32
+# temporaries (16-21 B per draw), and a draw kept bound while its bids are
+# built and capped holds a third (25-27 B per draw).
+BYTES_PER_DRAW = 24
 
 
 @pytest.mark.parametrize("family", list(ValueFamily), ids=lambda f: f.value)
-def test_million_draw_experiments_hold_at_most_four_arrays(family):
+def test_million_draw_experiments_hold_under_three_arrays(family):
     """tracemalloc peak of deviation_sweep and validate_product_distribution
-    at n = 1e6 draws stays below 32 B per draw (30.5 MiB)."""
+    at n = 1e6 draws stays below 24 B per draw (22.9 MiB)."""
     n = 1_000_000
     runs = {
         "deviation_sweep": lambda: deviation_sweep(

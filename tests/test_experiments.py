@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sira import experiments
+from sira import experiments, value_model
 from sira.errors import DomainError, NumericalError
 from sira.experiments import (
     closed_form_vs_quadrature,
@@ -127,7 +127,8 @@ def _materialised_deviation(family, p_eps, probe, deltas, n_opponents, seed):
     round-off can miss by ~1e-19.
     """
     key = (STREAM_EXPERIMENT, experiments._EXP_DEVIATION)
-    opp_bids = experiments._equilibrium_bids(family, p_eps, n_opponents, substream(seed, *key, 0))
+    dist = PremiumValueDistribution(family, p_eps)
+    opp_bids = cap_bid(sira_bid(family, dist.sample(substream(seed, *key, 0), n_opponents), p_eps))
     coins = substream(seed, *key, 1).random(n_opponents) < 0.5
     grid = np.unique(np.append(np.asarray(deltas, dtype=float), 0.0))
     v_d, v_p = probe
@@ -169,10 +170,9 @@ def test_deviation_ties_with_capped_opponents_come_from_coins():
     # ties with them and wins only the coins it is dealt.
     result = deviation_sweep(ValueFamily.UNIFORM, 0.9, *CAPPED_PROBE, [1.0], 20_000, seed=4)
     assert np.all(result.bids == 1.0)
-    pool = experiments._equilibrium_bids(
-        ValueFamily.UNIFORM, 0.9, 20_000,
-        substream(4, STREAM_EXPERIMENT, experiments._EXP_DEVIATION, 0),
-    )
+    pool_rng = substream(4, STREAM_EXPERIMENT, experiments._EXP_DEVIATION, 0)
+    premiums = PremiumValueDistribution(ValueFamily.UNIFORM, 0.9).sample(pool_rng, 20_000)
+    pool = cap_bid(sira_bid(ValueFamily.UNIFORM, premiums, 0.9))
     capped = int(np.count_nonzero(pool == 1.0))
     assert 5_000 < capped < 15_000
     wins = (result.mean_utility[0] - (CAPPED_PROBE[0] - 1.0)) / 0.5 * 20_000
@@ -387,7 +387,7 @@ def test_bad_bins_raise_before_any_draw(monkeypatch, bins):
     def fail(*args, **kwargs):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr(experiments, "sample_valuations", fail)
+    monkeypatch.setattr(value_model, "sample_valuations", fail)
     with pytest.raises(DomainError, match="bins must be an integer >= 10"):
         validate_product_distribution(ValueFamily.BETA22, 0.5, 1_000_000, bins, seed=1)
 
@@ -529,7 +529,7 @@ BUCKET_CASES = [(0.5, 0.23, 0.27), (0.2, 0.19, 0.21), (0.9, 0.0, 0.1), (0.3, 0.4
 def test_bucket_premiums_follow_the_conditional_premium_law(family, p_eps, lo, hi):
     dist = PremiumValueDistribution(family, p_eps)
     rng = np.random.default_rng(5)
-    totals, premiums = experiments._bucket_agents(dist, lo, hi, 20_000, rng)
+    totals, premiums = dist.sample_bucket(rng, 20_000, lo, hi)
     assert totals.size == premiums.size == 20_000
     assert np.all((premiums >= lo) & (premiums <= hi) & (premiums <= 0.5 * totals))
     ordered = np.sort(premiums)
@@ -543,7 +543,7 @@ def test_bucket_premiums_follow_the_conditional_premium_law(family, p_eps, lo, h
 @pytest.mark.parametrize("p_eps, lo, hi", BUCKET_CASES)
 def test_bucket_totals_match_rejection_from_the_population(family, p_eps, lo, hi):
     dist = PremiumValueDistribution(family, p_eps)
-    totals = experiments._bucket_agents(dist, lo, hi, 20_000, np.random.default_rng(6))[0]
+    totals = dist.sample_bucket(np.random.default_rng(6), 20_000, lo, hi)[0]
     reference = np.sort(_rejection_reference(family, p_eps, lo, hi, 20_000,
                                              np.random.default_rng(7)))
     totals = np.sort(totals)
@@ -568,9 +568,7 @@ def test_buckets_touching_0_and_one_half_stay_in_range(
     lo, hi = center - halfwidth, center + halfwidth
     assert lo == 0.0 or hi == 0.5
     dist = PremiumValueDistribution(family, p_eps)
-    totals, premiums = experiments._bucket_agents(
-        dist, lo, hi, 500, np.random.default_rng(seed)
-    )
+    totals, premiums = dist.sample_bucket(np.random.default_rng(seed), 500, lo, hi)
     assert np.all((premiums >= 0.0) & (premiums <= 0.5) & (premiums <= 0.5 * totals))
     assert np.all((totals >= p_eps) & (totals <= 1.0))
     # The whole run feeds these premiums to dist.cdf, whose domain check
@@ -614,6 +612,6 @@ def test_bucket_sampling_gives_up_when_no_draw_is_accepted(monkeypatch):
     # Totals of exactly 2 lo leave the premium [lo, min(hi, V/2)] no width, so
     # no draw is ever accepted; each of the 10,000 blocks holds one value.
     lo = 0.3 - 0.02
-    monkeypatch.setattr(experiments, "sample_total_values", lambda *args: np.full(1, 2 * lo))
+    monkeypatch.setattr(value_model, "sample_total_values", lambda *args: np.full(1, 2 * lo))
     with pytest.raises(NumericalError, match="bucket sampling failed to fill"):
         equilibrium_crosscheck(ValueFamily.UNIFORM, 0.5, 0.3, 0.02, 1000, seed=1)

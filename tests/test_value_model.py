@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sira.errors import DomainError, NumericalError
 from sira.seeding import substream
+from sira.strategy import P_EPS_MAX, P_EPS_MIN
 from sira.value_model import (
     PREMIUM_BRANCHES,
     PREMIUM_MAX,
@@ -420,6 +421,26 @@ def test_premium_distribution_matches_simulated_products():
         ranks = np.arange(1, products.size + 1) / products.size
         ks = np.max(np.abs(dist.cdf(products) - ranks))
         assert ks < 0.01, (family, ks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(ValueFamily),
+    p_eps=st.floats(P_EPS_MIN, P_EPS_MAX),
+    size=st.integers(0, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(family=ValueFamily.BETA22, p_eps=P_EPS_MAX, size=1000, seed=1)
+@example(family=ValueFamily.UNIFORM, p_eps=P_EPS_MIN, size=1000, seed=1)
+def test_premium_sample_is_lambda_times_the_conditioned_total(family, p_eps, size, seed):
+    # The draw is lambda * V with V conditioned on [p_eps, 1], bit for bit,
+    # and it leaves the stream where sample_valuations leaves it.
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    v_p = PremiumValueDistribution(family, p_eps).sample(rng, size)
+    totals, lams = sample_valuations(family, reference_rng, size, lower=p_eps)
+    _assert_same_bits(v_p, lams * totals)
+    assert np.all((v_p >= 0.0) & (v_p <= PREMIUM_MAX))
+    assert rng.random() == reference_rng.random()
 
 
 def test_clamp_tolerates_roundoff_but_flags_real_violations():
